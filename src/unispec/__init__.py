@@ -47,6 +47,7 @@ from .walks import (
 from .cover import (
     CoverBall,
     LiftCheck,
+    cover_moment_sums,
     cover_walk_counts,
     rho_cover_estimate,
     universal_cover_ball,
@@ -65,6 +66,7 @@ from .nbw import (
     edge_root_law,
     mtp_check,
     nbw_entropy,
+    nbw_entropy_rate,
     nbw_transition,
     simulate_nbw,
     stationarity_check,

@@ -18,6 +18,7 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from . import ensembles, nbw, spectra, walks
 from .graph import (
+    DegreeStats,
     Graph,
     GraphInputError,
     core_peel,
@@ -41,7 +42,6 @@ class RunConfig:
     kmax: int | None = None
     samples: int | None = None
     seed: int = DEFAULT_SEED
-    threads: int = 1
     out: str = "-"
     format: str = "json"
     pretty: bool = False
@@ -138,8 +138,7 @@ def _check(name: str, ok: bool, deviation: float | None = None, note: str = "") 
     return {"name": name, "pass": bool(ok), "deviation": deviation, "note": note}
 
 
-def _suite_graph(g: Graph) -> list[dict]:
-    stats = degree_stats(g)
+def _suite_graph(g: Graph, stats: DegreeStats) -> list[dict]:
     rows = [_check("handshake_deg_sum", stats.deg_sum == 2 * stats.m, 0.0)]
     peeled = core_peel(g)
     again = core_peel(peeled.core)
@@ -150,23 +149,22 @@ def _suite_graph(g: Graph) -> list[dict]:
     return rows
 
 
-def _suite_walks(g: Graph, kmax: int) -> list[dict]:
-    report = spectra.adjacency_spectrum(g)
+def _suite_walks(g: Graph, kmax: int, report: spectra.EigenReport,
+                 mreport: spectra.EigenReport | None) -> list[dict]:
+    # entry k of a walk table does not depend on the length the iteration runs to
     n = g.vertex_count
     worst = 0.0
-    for k in range(kmax + 1):
-        total = sum(walks.closed_walk_counts(g, x, k).counts[k] for x in range(n))
+    columns = zip(*(walks.closed_walk_counts(g, x, kmax).counts for x in range(n)))
+    for k, column in enumerate(columns):
         mom = spectra.moment(report.measure, k)
-        scale = max(1.0, abs(mom))
-        worst = max(worst, abs(mom - total / n) / scale)
+        worst = max(worst, abs(mom - sum(column) / n) / max(1.0, abs(mom)))
     rows = [_check("adjacency_moment_walk_equivalence", worst <= 1e-9, worst)]
-    if g.min_degree >= 1:
-        mreport = spectra.markov_spectrum(g)
+    if mreport is not None:
         worst_m = 0.0
-        for k in range(kmax + 1):
-            total = sum(walks.srw_return_probs(g, x, k)[k] for x in range(n))
+        columns = zip(*(walks.srw_return_probs(g, x, kmax) for x in range(n)))
+        for k, column in enumerate(columns):
             mom = spectra.moment(mreport.measure, k)
-            worst_m = max(worst_m, abs(mom - total / n))
+            worst_m = max(worst_m, abs(mom - sum(column) / n))
         rows.append(_check("markov_moment_return_equivalence", worst_m <= 1e-9, worst_m))
     return rows
 
@@ -179,24 +177,16 @@ def _suite_lifting(g: Graph, kmax: int) -> list[dict]:
     return [_check(f"lifting_w2k_cover_le_base_k{kmax}", ok, 0.0 if ok else 1.0)]
 
 
-def _suite_nbw(g: Graph) -> list[dict]:
+def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
     report = nbw.stationarity_check(g)
-    rows = [
+    dev = abs(nbw.nbw_entropy_rate(g) - nbw.nbw_entropy(stats))
+    return [
         _check("nbw_stationarity", report.stationarity_deviation <= 1e-12,
                report.stationarity_deviation),
         _check("nbw_reversal_invariance", report.reversal_deviation <= 1e-12,
                report.reversal_deviation),
+        _check("nbw_entropy_consistency", dev <= 1e-12, dev),
     ]
-    stats = degree_stats(g)
-    kernel = nbw.nbw_transition(g)
-    law = nbw.edge_root_law(g)
-    rate = 0.0
-    for p, row in zip(law.probabilities, kernel.matrix):
-        entropy_row = -sum(x * math.log(x) for x in row if x > 0)
-        rate += float(p) * entropy_row
-    dev = abs(rate - nbw.nbw_entropy(stats))
-    rows.append(_check("nbw_entropy_consistency", dev <= 1e-12, dev))
-    return rows
 
 
 def _suite_mtp(g: Graph) -> list[dict]:
@@ -207,26 +197,16 @@ def _suite_mtp(g: Graph) -> list[dict]:
     return rows
 
 
-def _cover_moments(g: Graph, kmax: int) -> list[float]:
-    totals = [0] * (kmax + 1)
-    for x in range(g.vertex_count):
-        ball = cover_mod.universal_cover_ball(g, x, kmax)
-        counts = cover_mod.cover_walk_counts(ball, kmax).counts
-        for k in range(1, kmax + 1):
-            totals[k] += counts[2 * k]
-    return [totals[k] / g.vertex_count for k in range(1, kmax + 1)]
-
-
-def _suite_bounds(g: Graph, kmax: int) -> list[dict]:
-    stats = degree_stats(g)
+def _suite_bounds(g: Graph, stats: DegreeStats, kmax: int,
+                  measure: spectra.SpectralMeasure) -> list[dict]:
     rows = []
     b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
     rows.append(_check("jensen_tree_radius_b1_ge_b2", b1 >= b2 - 1e-12, max(0.0, b2 - b1)))
     dev = abs(bounds_mod.hoory_bound(stats) - b1)
     rows.append(_check("hoory_equals_entropy_bound", dev <= 1e-12, dev))
-    measure = spectra.adjacency_spectrum(g).measure
     rho = spectra.sigma(measure, 1)
-    moments = _cover_moments(g, kmax)
+    sums = cover_mod.cover_moment_sums(g, kmax)
+    moments = [sums[k] / g.vertex_count for k in range(1, kmax + 1)]
     rho_est = moments[-1] ** (1.0 / (2 * kmax))
     ok = True
     for k in range(1, kmax + 1):
@@ -246,13 +226,16 @@ def _suite_bounds(g: Graph, kmax: int) -> list[dict]:
 SUITES = ("graph", "walks", "lifting", "nbw", "mtp", "bounds", "all")
 
 
-def _run_suites(g: Graph, suite: str, kmax: int) -> list[dict]:
+def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport | None = None,
+                markov: spectra.EigenReport | None = None) -> list[dict]:
+    """Rows of the selected suites; a spectrum not passed in is solved once, if a suite needs it."""
     leafless = g.vertex_count > 0 and g.min_degree >= 2
     connected = g.is_connected()
     if suite in ("nbw", "bounds") and not leafless:
         raise GraphInputError(f"suite {suite!r} requires a leafless graph (min degree >= 2)")
     if suite in ("lifting", "bounds") and not connected:
         raise GraphInputError(f"suite {suite!r} requires a connected graph")
+    stats = degree_stats(g)
     rows: list[dict] = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
     for name in wanted:
@@ -264,18 +247,22 @@ def _run_suites(g: Graph, suite: str, kmax: int) -> list[dict]:
             rows.append(_check(f"{name}_suite_skipped_disconnected", True, None,
                                note="skipped: graph is disconnected"))
             continue
+        if name in ("walks", "bounds") and adjacency is None:
+            adjacency = spectra.adjacency_spectrum(g)
+        if name == "walks" and markov is None and g.min_degree >= 1:
+            markov = spectra.markov_spectrum(g)
         if name == "graph":
-            rows.extend(_suite_graph(g))
+            rows.extend(_suite_graph(g, stats))
         elif name == "walks":
-            rows.extend(_suite_walks(g, min(kmax, 6)))
+            rows.extend(_suite_walks(g, min(kmax, 6), adjacency, markov))
         elif name == "lifting":
             rows.extend(_suite_lifting(g, min(kmax, 4)))
         elif name == "nbw":
-            rows.extend(_suite_nbw(g))
+            rows.extend(_suite_nbw(g, stats))
         elif name == "mtp":
             rows.extend(_suite_mtp(g))
         elif name == "bounds":
-            rows.extend(_suite_bounds(g, min(kmax, 4)))
+            rows.extend(_suite_bounds(g, stats, min(kmax, 4), adjacency.measure))
     return rows
 
 
@@ -284,38 +271,33 @@ def _run_suites(g: Graph, suite: str, kmax: int) -> list[dict]:
 # ----------------------------------------------------------------------------
 
 
+def _spectrum_summary(report: spectra.EigenReport | None) -> dict | None:
+    """sigma_1..5 and tail masses on a 10-point grid up to sigma_1 (adjacency) or 1 (Markov)."""
+    if report is None:
+        return None
+    sig = [spectra.sigma(report.measure, j) for j in range(1, 6)]
+    top = sig[0] if report.measure.kind == "adjacency" else 1.0
+    grid = [round(top * i / 10.0, 12) for i in range(10)]
+    return {
+        "sigma_1_to_5": sig,
+        "tail_mass_grid": [[a, spectra.tail_mass(report.measure, a)] for a in grid],
+        "max_residual": report.max_residual,
+        "provenance": "exact",
+    }
+
+
 def _cmd_analyze(cfg: RunConfig) -> int:
     g = _resolve_graph(cfg)
     stats = degree_stats(g)
     report_adj = spectra.adjacency_spectrum(g)
-    sig = [spectra.sigma(report_adj.measure, j) for j in range(1, 6)]
-    grid = [round(sig[0] * i / 10.0, 12) for i in range(10)]
-    adjacency = {
-        "sigma_1_to_5": sig,
-        "tail_mass_grid": [[a, spectra.tail_mass(report_adj.measure, a)] for a in grid],
-        "max_residual": report_adj.max_residual,
-        "provenance": "exact",
-    }
-    markov = None
-    if g.min_degree >= 1:
-        report_markov = spectra.markov_spectrum(g)
-        markov = {
-            "sigma_1_to_5": [spectra.sigma(report_markov.measure, j) for j in range(1, 6)],
-            "tail_mass_grid": [
-                [round(i / 10.0, 12), spectra.tail_mass(report_markov.measure, i / 10.0)]
-                for i in range(10)
-            ],
-            "max_residual": report_markov.max_residual,
-            "provenance": "exact",
-        }
-    leafless = stats.min_degree >= 2
+    report_markov = spectra.markov_spectrum(g) if g.min_degree >= 1 else None
     bound_values: dict[str, object] = {
         "alon_boppana_degree_bound": {
             "value": 2.0 * math.sqrt(max(stats.d_av - 1.0, 0.0)),
             "provenance": "exact",
         }
     }
-    if leafless:
+    if stats.min_degree >= 2:
         b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
         s1, s2 = bounds_mod.tree_srw_radius_bounds(stats)
         r = cfg.r if cfg.r is not None else 3
@@ -334,13 +316,15 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         )
     else:
         bound_values["note"] = "degree-moment bounds undefined: graph has a leaf"
-    checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4)
+    checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4,
+                         report_adj, report_markov)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.analyze.v1",
         "config": cfg.to_dict(),
         "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": g.is_connected()},
         "degree_stats": asdict(stats),
-        "spectra": {"adjacency": adjacency, "markov": markov},
+        "spectra": {"adjacency": _spectrum_summary(report_adj),
+                    "markov": _spectrum_summary(report_markov)},
         "bounds": bound_values,
         "checks": checks,
     }
@@ -487,8 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="edge-list file ('u v' per line, '#' comments)")
             p.add_argument("--gen", help="generator spec family:param[:param]")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; affects wall time only, never output")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--pretty", action="store_true", help="render a human table")
@@ -529,7 +511,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = RunConfig.__dataclass_fields__
     values = {k: v for k, v in vars(args).items() if k in fields}
     cfg = RunConfig(**values)
-    for name in ("radius", "kmax", "samples", "threads", "depth", "k", "r"):
+    for name in ("radius", "kmax", "samples", "depth", "k", "r"):
         value = getattr(cfg, name)
         if value is not None and value < (0 if name == "radius" else 1):
             raise GraphInputError(f"--{name} must be positive, got {value}")

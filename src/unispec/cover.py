@@ -14,6 +14,7 @@ __all__ = [
     "NODE_BUDGET_DEFAULT",
     "CoverBall",
     "LiftCheck",
+    "cover_moment_sums",
     "cover_walk_counts",
     "rho_cover_estimate",
     "universal_cover_ball",
@@ -146,6 +147,16 @@ def verify_lifting(
     return out
 
 
+def cover_moment_sums(g: Graph, kmax: int, node_budget: int | None = None) -> list[int]:
+    """Exact integer sums[k] = sum_x W_2k(cover at x) over base vertices x, k = 0..kmax;
+    sums[k] / n is the cover moment E[W_2k(cover)] under the uniform root."""
+    sums = [0] * (kmax + 1)
+    for base in range(g.vertex_count):
+        cb = universal_cover_ball(g, base, kmax, node_budget=node_budget)
+        sums = [s + c for s, c in zip(sums, cover_walk_counts(cb, kmax).counts[::2])]
+    return sums
+
+
 def rho_cover_estimate(g: Graph, kmax: int, node_budget: int | None = None) -> list[float]:
     """Moment norms ((1/n) sum_x W_2k(cover at x))^(1/2k) for k = 1..kmax.
 
@@ -156,11 +167,6 @@ def rho_cover_estimate(g: Graph, kmax: int, node_budget: int | None = None) -> l
     if kmax < 1:
         raise GraphInputError(f"kmax must be >= 1, got {kmax}")
     n = g.vertex_count
-    sums = [0] * (kmax + 1)
-    for base in range(n):
-        cb = universal_cover_ball(g, base, kmax, node_budget=node_budget)
-        counts = cover_walk_counts(cb, kmax).counts
-        for k in range(1, kmax + 1):
-            sums[k] += counts[2 * k]
+    sums = cover_moment_sums(g, kmax, node_budget=node_budget)
     # math.log accepts arbitrarily large ints, so no float overflow on the way
     return [math.exp((math.log(sums[k]) - math.log(n)) / (2 * k)) for k in range(1, kmax + 1)]

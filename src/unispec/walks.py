@@ -54,13 +54,13 @@ class WalkCountTable:
         return len(self.counts) - 1
 
 
-def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], int]:
-    """Local adjacency lists restricted to the ball B_radius(root)."""
+def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], int, list[int]]:
+    """B_radius(root) as local adjacency lists, the root's local index, and its vertices."""
     dist = bfs_distances(g, root, limit=radius)
     ball = [v for v in range(g.vertex_count) if 0 <= dist[v] <= radius]
     local = {v: i for i, v in enumerate(ball)}
     adj = [[local[w] for w in g.adjacency[v] if w in local] for v in ball]
-    return adj, local[root]
+    return adj, local[root], ball
 
 
 def closed_walk_counts(
@@ -76,7 +76,7 @@ def closed_walk_counts(
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     if budget is not None and kmax > budget:
         raise BudgetError(f"kmax={kmax} exceeds walk budget {budget}")
-    adj, start = _ball_adjacency(g, root, kmax // 2)
+    adj, start, _ = _ball_adjacency(g, root, kmax // 2)
     vec = [0] * len(adj)
     vec[start] = 1
     counts = [1]
@@ -96,16 +96,15 @@ def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:
         raise GraphInputError("srw_return_probs undefined with an isolated vertex")
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    dist = bfs_distances(g, root, limit=kmax // 2)
-    ball = [v for v in range(g.vertex_count) if dist[v] >= 0]
-    local = {v: i for i, v in enumerate(ball)}
-    adj = [[(local[w], 1.0 / g.degree(w)) for w in g.adjacency[v] if w in local] for v in ball]
+    adj, start, ball = _ball_adjacency(g, root, kmax // 2)
+    inv_deg = [1.0 / g.degree(v) for v in ball]
     vec = [0.0] * len(ball)
-    vec[local[root]] = 1.0
+    vec[start] = 1.0
     probs = [1.0]
     for _ in range(kmax):
-        vec = [sum(vec[j] * p for j, p in nbrs) for nbrs in adj]
-        probs.append(vec[local[root]])
+        scaled = [x * p for x, p in zip(vec, inv_deg)]
+        vec = [sum(map(scaled.__getitem__, nbrs)) for nbrs in adj]
+        probs.append(vec[start])
     return probs
 
 
@@ -317,22 +316,17 @@ def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> lis
     _check_tree(tree)
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    dist = bfs_distances(tree, root, limit=kmax)
-    ball = [v for v in range(tree.vertex_count) if dist[v] >= 0]
-    local = {v: i for i, v in enumerate(ball)}
+    adj, start, ball = _ball_adjacency(tree, root, kmax)
     # incoming[u] lists (v_local, weight of step v -> u)
-    incoming = [
-        [(local[v], edge_weight(w, tree, v, u)) for v in tree.adjacency[u] if v in local]
-        for u in ball
-    ]
+    incoming = [[(j, edge_weight(w, tree, ball[j], u)) for j in nbrs] for u, nbrs in zip(ball, adj)]
     zero = 0 if w.mode == "unit" else 0.0 if w.mode == "srw" else 0 * w.delta
     vec = [zero] * len(ball)
-    vec[local[root]] = zero + 1
+    vec[start] = zero + 1
     totals = [zero + 1]
     for step in range(1, 2 * kmax + 1):
         vec = [sum((vec[j] * wt for j, wt in inc), zero) for inc in incoming]
         if step % 2 == 0:
-            totals.append(vec[local[root]])
+            totals.append(vec[start])
     return totals
 
 

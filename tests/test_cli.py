@@ -1,6 +1,7 @@
 import json
 import math
 
+from unispec import nbw, spectra
 from unispec.cli import run
 
 
@@ -162,6 +163,42 @@ def test_report_combined(capsys):
 def test_unknown_flags_exit_2(capsys):
     assert run_cli(capsys, "analyze", "--nonsense")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
+    assert run_cli(capsys, "analyze", "--gen", "cycle:5", "--threads", "2")[0] == 2
+
+
+def _count_solves(monkeypatch):
+    calls = {"adjacency_spectrum": 0, "markov_spectrum": 0}
+    for name in calls:
+        original = getattr(spectra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, name, counted)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("dense NBW kernel built")
+
+    monkeypatch.setattr(nbw, "nbw_transition", no_kernel)
+    return calls
+
+
+def test_analyze_solves_each_spectrum_once(capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    code, _, err = run_cli(capsys, "analyze", "--gen", "random_regular:20:3", "--seed", "2")
+    assert code == 0, err
+    assert calls == {"adjacency_spectrum": 1, "markov_spectrum": 1}
+
+
+def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    code, _, err = run_cli(capsys, "verify", "--suite", "nbw", "--gen", "complete:5")
+    assert code == 0, err
+    assert calls == {"adjacency_spectrum": 0, "markov_spectrum": 0}
+    code, _, err = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:5")
+    assert code == 0, err
+    assert calls == {"adjacency_spectrum": 1, "markov_spectrum": 1}
 
 
 def test_gen_spec_errors(capsys):

@@ -8,6 +8,7 @@ from unispec import (
     adjacency_spectrum,
     canonical_rooted_code,
     closed_walk_counts,
+    cover_moment_sums,
     cover_walk_counts,
     generate,
     regular_tree_walks,
@@ -17,7 +18,13 @@ from unispec import (
     verify_lifting,
 )
 
-from fixture_graphs import FIXTURES, LEAFLESS, enumerate_closed_walks, random_tree
+from fixture_graphs import (
+    CONNECTED_NON_TREE,
+    FIXTURES,
+    LEAFLESS,
+    enumerate_closed_walks,
+    random_tree,
+)
 
 
 def test_cycle_cover_is_line_segment():
@@ -131,6 +138,16 @@ def test_rho_estimate_cycle_approaches_two():
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < 2.0
     assert values[-1] > 1.7
+
+
+@pytest.mark.parametrize("name", CONNECTED_NON_TREE)
+def test_cover_moment_sums_add_lifted_counts(name):
+    g = FIXTURES[name]
+    sums = cover_moment_sums(g, 3)
+    assert sums[0] == g.vertex_count
+    for k in range(1, 4):
+        assert sums[k] == sum(verify_lifting(g, x, 3)[k - 1].cover_count
+                              for x in range(g.vertex_count))
 
 
 def test_rho_estimate_k4_approaches_2sqrt2():

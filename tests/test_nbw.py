@@ -16,10 +16,12 @@ from unispec import (
     edge_root_law,
     mtp_check,
     nbw_entropy,
+    nbw_entropy_rate,
     nbw_transition,
     simulate_nbw,
     stationarity_check,
 )
+from unispec import nbw
 
 from fixture_graphs import FIXTURES, LEAFLESS, star
 
@@ -83,6 +85,21 @@ def test_stationarity_chorded():
     assert report.reversal_deviation <= 1e-14
 
 
+def test_reversal_detects_redirected_successor(monkeypatch):
+    original = nbw._successors
+
+    def redirected(g):
+        edges, index, succ = original(g)
+        # send edge 0 to a successor of one of its successors instead
+        succ[0] = [succ[succ[0][0]][0]] + succ[0][1:]
+        return edges, index, succ
+
+    g = FIXTURES["petersen"]
+    assert stationarity_check(g).reversal_deviation == 0.0
+    monkeypatch.setattr(nbw, "_successors", redirected)
+    assert stationarity_check(g).reversal_deviation > 0
+
+
 @pytest.mark.parametrize("name", LEAFLESS)
 def test_stationarity_matches_dense_kernel(name):
     g = FIXTURES[name]
@@ -116,6 +133,7 @@ def test_entropy_matches_kernel_rate(name):
     for p, row in zip(law.probabilities, kernel.matrix):
         rate += float(p) * -sum(x * math.log(x) for x in row if x > 0)
     assert abs(rate - nbw_entropy(degree_stats(g))) <= 1e-12
+    assert nbw_entropy_rate(g) == rate
 
 
 def test_mtp_adjacency_is_average_degree():
