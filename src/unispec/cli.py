@@ -48,7 +48,6 @@ class RunConfig:
     suite: str | None = None
     stat: str | None = None
     pi: str | None = None
-    depth: int | None = None
     k: int | None = None
     r: int | None = None
 
@@ -139,10 +138,9 @@ def _check(name: str, ok: bool, deviation: float | None = None, note: str = "") 
 
 
 def _suite_graph(g: Graph, stats: DegreeStats) -> list[dict]:
-    rows = [_check("handshake_deg_sum", stats.deg_sum == 2 * stats.m, 0.0)]
     peeled = core_peel(g)
     again = core_peel(peeled.core)
-    rows.append(_check("core_peel_idempotent", again.core == peeled.core, 0.0))
+    rows = [_check("core_peel_idempotent", again.core == peeled.core, 0.0)]
     if stats.hoory_lambda is not None and stats.dlog_mean is not None:
         dev = abs(math.log(stats.hoory_lambda) - stats.dlog_mean / stats.d_av)
         rows.append(_check("hoory_lambda_two_forms", dev <= 1e-12, dev))
@@ -189,14 +187,6 @@ def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
     ]
 
 
-def _suite_mtp(g: Graph) -> list[dict]:
-    rows = []
-    for name, f in nbw.BUILTIN_TRANSPORTS.items():
-        lhs, rhs = nbw.mtp_check(g, f)
-        rows.append(_check(f"mtp_exact_{name}", lhs == rhs, float(abs(lhs - rhs))))
-    return rows
-
-
 def _suite_bounds(g: Graph, stats: DegreeStats, kmax: int,
                   measure: spectra.SpectralMeasure) -> list[dict]:
     rows = []
@@ -223,7 +213,7 @@ def _suite_bounds(g: Graph, stats: DegreeStats, kmax: int,
     return rows
 
 
-SUITES = ("graph", "walks", "lifting", "nbw", "mtp", "bounds", "all")
+SUITES = ("graph", "walks", "lifting", "nbw", "bounds", "all")
 
 
 def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport | None = None,
@@ -259,8 +249,6 @@ def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport 
             rows.extend(_suite_lifting(g, min(kmax, 4)))
         elif name == "nbw":
             rows.extend(_suite_nbw(g, stats))
-        elif name == "mtp":
-            rows.extend(_suite_mtp(g))
         elif name == "bounds":
             rows.extend(_suite_bounds(g, stats, min(kmax, 4), adjacency.measure))
     return rows
@@ -363,6 +351,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
     pi = ensembles.DegreeDistribution.from_string(cfg.pi)
     stat = cfg.stat or "walks"
     samples = cfg.samples if cfg.samples is not None else 1000
+    r = cfg.r if cfg.r is not None else 3
     exact: float | None = None
     if stat == "walks":
         if cfg.k is None:
@@ -371,7 +360,6 @@ def _cmd_sample(cfg: RunConfig) -> int:
         if pi.is_point_mass():
             exact = float(ensembles.regular_tree_walks(pi.support[0], cfg.k)[cfg.k])
     elif stat == "sphere":
-        r = cfg.r if cfg.r is not None else (cfg.depth if cfg.depth is not None else 3)
         est, exact = ensembles.estimate_sphere(pi, r, samples, cfg.seed)
     else:
         raise GraphInputError(f"unknown --stat {stat!r}; expected walks or sphere")
@@ -386,7 +374,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
         "provenance": "monte-carlo",
     }
     if stat == "sphere" and pi.min_degree >= 2:
-        b1, _ = bounds_mod.sphere_growth_bounds(pi, cfg.r if cfg.r is not None else 3)
+        b1, _ = bounds_mod.sphere_growth_bounds(pi, r)
         payload["growth_bound"] = bounds_mod.BoundReport(
             name="sphere_growth_lower_bound",
             bound=b1,
@@ -459,51 +447,51 @@ def _cmd_report(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 
+_FLAGS = {
+    "what": {"choices": ("ugw",)},
+    "--input": {"help": "edge-list file ('u v' per line, '#' comments)"},
+    "--gen": {"help": "generator spec family:param[:param]"},
+    "--pi": {"required": True, "help": 'degree law, e.g. "2:0.5,3:0.5"'},
+    "--samples": {"type": int, "default": 1000},
+    "--stat": {"choices": ("walks", "sphere"), "default": "walks"},
+    "--k": {"type": int, "help": "walk-length parameter (counts walks of length 2k)"},
+    "--r": {"type": int, "help": "sphere radius (default 3)"},
+    "--kmax": {"type": int},
+    "--radius": {"type": int},
+    "--suite": {"choices": SUITES, "default": "all"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--out": {"default": "-", "help": "output path, '-' for stdout"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--pretty": {"action": "store_true", "help": "render a human table"},
+}
+_GRAPH = ("--input", "--gen", "--seed")
+_OUTPUT = ("--out", "--format", "--pretty")
+
+# each subcommand registers only the flags it reads, so any other flag exits 2
+_SUBCOMMANDS = {
+    "analyze": ("degree stats, spectra, bounds, self-checks",
+                _GRAPH + _OUTPUT + ("--kmax", "--r")),
+    "cover": ("truncated universal cover walk table and radius estimate",
+              _GRAPH + _OUTPUT + ("--kmax", "--radius")),
+    "sample": ("Monte Carlo estimates over random trees",
+               ("what", "--pi", "--samples", "--stat", "--k", "--r", "--seed") + _OUTPUT),
+    "census": ("canonical rooted-ball census", _GRAPH + _OUTPUT + ("--radius",)),
+    "verify": ("run a check suite and print pass/fail lines", _GRAPH + ("--kmax", "--suite")),
+    "report": ("combined analyze + cover + checks report",
+               _GRAPH + _OUTPUT + ("--kmax", "--radius")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unispec",
         description="Spectra, walk counts, universal covers, and NBW statistics of finite graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_graph: bool = True):
-        if needs_graph:
-            p.add_argument("--input", help="edge-list file ('u v' per line, '#' comments)")
-            p.add_argument("--gen", help="generator spec family:param[:param]")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--pretty", action="store_true", help="render a human table")
-        p.add_argument("--kmax", type=int)
-        p.add_argument("--radius", type=int)
-
-    p = sub.add_parser("analyze", help="degree stats, spectra, bounds, self-checks")
-    common(p)
-    p.add_argument("--r", type=int, help="sphere radius for the growth bounds (default 3)")
-
-    p = sub.add_parser("cover", help="truncated universal cover walk table and radius estimate")
-    common(p)
-
-    p = sub.add_parser("sample", help="Monte Carlo estimates over random trees")
-    p.add_argument("what", choices=("ugw",))
-    p.add_argument("--pi", required=True, help='degree law, e.g. "2:0.5,3:0.5"')
-    p.add_argument("--depth", type=int)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--stat", choices=("walks", "sphere"), default="walks")
-    p.add_argument("--k", type=int, help="walk-length parameter (counts walks of length 2k)")
-    p.add_argument("--r", type=int, help="sphere radius")
-    common(p, needs_graph=False)
-
-    p = sub.add_parser("census", help="canonical rooted-ball census")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a check suite and print pass/fail lines")
-    common(p)
-    p.add_argument("--suite", choices=SUITES, default="all")
-
-    p = sub.add_parser("report", help="combined analyze + cover + checks report")
-    common(p)
-
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -511,7 +499,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = RunConfig.__dataclass_fields__
     values = {k: v for k, v in vars(args).items() if k in fields}
     cfg = RunConfig(**values)
-    for name in ("radius", "kmax", "samples", "depth", "k", "r"):
+    for name in ("radius", "kmax", "samples", "k", "r"):
         value = getattr(cfg, name)
         if value is not None and value < (0 if name == "radius" else 1):
             raise GraphInputError(f"--{name} must be positive, got {value}")

@@ -191,8 +191,10 @@ def mtp_check(g: Graph, f: Callable[[Graph, int, int], object]) -> tuple:
 
     lhs = (1/n) sum_x sum_y f(x, y) is the mass the root sends, rhs the mass it
     receives. For a finite graph with a uniform root the two double sums are
-    the same sum reindexed, so equality is exact whenever f returns exact
-    numbers (ints or Fractions).
+    the same sum reindexed, so equality holds for any deterministic f and is
+    exact whenever f returns exact numbers (ints or Fractions). It cannot
+    detect a wrong f, so the CLI does not run it; it stays for library use and
+    acceptance criterion 5 (``test_05_mass_transport_exact``).
     """
     n = g.vertex_count
     if n == 0:

@@ -1,7 +1,7 @@
 import json
 import math
 
-from unispec import nbw, spectra
+from unispec import bounds, ensembles, nbw, spectra
 from unispec.cli import run
 
 
@@ -22,6 +22,19 @@ def test_analyze_cycle_stdout(capsys):
     assert report["config"]["gen"] == "cycle:100"
     assert report["graph"] == {"n": 100, "m": 100, "connected": True}
     assert all(check["pass"] for check in report["checks"])
+
+
+def test_analyze_check_rows(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--gen", "complete:5")
+    assert code == 0, err
+    assert [row["name"] for row in json.loads(out)["checks"]] == [
+        "core_peel_idempotent", "hoory_lambda_two_forms",
+        "adjacency_moment_walk_equivalence", "markov_moment_return_equivalence",
+        "lifting_w2k_cover_le_base_k4",
+        "nbw_stationarity", "nbw_reversal_invariance", "nbw_entropy_consistency",
+        "jensen_tree_radius_b1_ge_b2", "hoory_equals_entropy_bound", "cover_tail_mass_bound",
+        "tail_mass_constant_self_consistency",
+    ]
 
 
 def test_analyze_deterministic(capsys, tmp_path):
@@ -137,6 +150,18 @@ def test_sample_sphere(capsys):
     assert abs(report["mean"] - 6.4) <= 3 * report["stderr"]
 
 
+def test_sample_sphere_growth_bound_radius(capsys):
+    code, out, _ = run_cli(
+        capsys, "sample", "ugw", "--pi", "2:0.5,3:0.5", "--samples", "50",
+        "--stat", "sphere", "--r", "5", "--seed", "7",
+    )
+    assert code == 0
+    report = json.loads(out)
+    pi = ensembles.DegreeDistribution.from_string("2:0.5,3:0.5")
+    assert report["growth_bound"]["bound"] == bounds.sphere_growth_bounds(pi, 5)[0]
+    assert "depth" not in report["config"]
+
+
 def test_sample_bad_pi(capsys):
     code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "2:0.7,3:0.7",
                            "--stat", "walks", "--k", "1")
@@ -164,6 +189,19 @@ def test_unknown_flags_exit_2(capsys):
     assert run_cli(capsys, "analyze", "--nonsense")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "analyze", "--gen", "cycle:5", "--threads", "2")[0] == 2
+    assert run_cli(capsys, "verify", "--gen", "complete:4", "--suite", "mtp")[0] == 2
+    assert run_cli(capsys, "sample", "ugw", "--pi", "2:0.5,3:0.5", "--stat", "sphere",
+                   "--depth", "5")[0] == 2
+    # each subcommand rejects the flags it does not read
+    assert run_cli(capsys, "verify", "--gen", "complete:4", "--out", "x")[0] == 2
+    assert run_cli(capsys, "census", "--gen", "grid:4", "--radius", "1", "--kmax", "2")[0] == 2
+    assert run_cli(capsys, "analyze", "--gen", "cycle:5", "--radius", "3")[0] == 2
+    walks = ["sample", "ugw", "--pi", "3:1", "--k", "1", "--samples", "2"]
+    for argv in (walks + ["--kmax", "2"], walks + ["--radius", "2"],
+                 ["verify", "--gen", "complete:4", "--format", "csv"],
+                 ["verify", "--gen", "complete:4", "--pretty"],
+                 ["verify", "--gen", "complete:4", "--radius", "2"]):
+        assert run_cli(capsys, *argv)[0] == 2, argv
 
 
 def _count_solves(monkeypatch):
@@ -181,6 +219,11 @@ def _count_solves(monkeypatch):
         raise AssertionError("dense NBW kernel built")
 
     monkeypatch.setattr(nbw, "nbw_transition", no_kernel)
+
+    def no_mtp(*args, **kwargs):
+        raise AssertionError("finite-graph MTP sums run")
+
+    monkeypatch.setattr(nbw, "mtp_check", no_mtp)
     return calls
 
 
