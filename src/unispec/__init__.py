@@ -33,6 +33,7 @@ from .walks import (
     TreeWalkCode,
     WalkCountTable,
     WeightFn,
+    branch_series,
     catalan,
     closed_walk_counts,
     decode_tree_walk,
@@ -49,6 +50,7 @@ from .cover import (
     LiftCheck,
     cover_moment_sums,
     cover_walk_counts,
+    cover_walk_rows,
     rho_cover_estimate,
     universal_cover_ball,
     verify_lifting,

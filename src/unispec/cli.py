@@ -112,9 +112,7 @@ def _pretty_lines(payload, indent: int = 0) -> list[str]:
 
 
 def _write_report(payload: dict, cfg: RunConfig, csv_text: str | None = None) -> None:
-    if cfg.format == "csv":
-        if csv_text is None:
-            raise GraphInputError(f"{cfg.subcommand} has no CSV rendering")
+    if cfg.format == "csv":  # only subcommands with a CSV rendering register --format
         _emit(csv_text, cfg.out)
         return
     if cfg.pretty:
@@ -168,10 +166,9 @@ def _suite_walks(g: Graph, kmax: int, report: spectra.EigenReport,
 
 
 def _suite_lifting(g: Graph, kmax: int) -> list[dict]:
-    bases = range(min(g.vertex_count, 16))
-    ok = True
-    for base in bases:
-        ok &= all(row.ok for row in cover_mod.verify_lifting(g, base, kmax))
+    rows = cover_mod.cover_walk_rows(g, kmax)
+    ok = all(c <= b for base in range(min(g.vertex_count, 16))
+             for c, b in zip(rows[base], walks.closed_walk_counts(g, base, 2 * kmax).counts[::2]))
     return [_check(f"lifting_w2k_cover_le_base_k{kmax}", ok, 0.0 if ok else 1.0)]
 
 
@@ -324,15 +321,16 @@ def _cmd_cover(cfg: RunConfig) -> int:
     g = _resolve_graph(cfg)
     if cfg.radius is None:
         raise GraphInputError("cover requires --radius")
-    kmax = cfg.kmax if cfg.kmax is not None else cfg.radius
+    kmax = min(cfg.kmax if cfg.kmax is not None else cfg.radius, cfg.radius)
     ball = cover_mod.universal_cover_ball(g, 0, cfg.radius)
-    table = cover_mod.cover_walk_counts(ball, min(kmax, cfg.radius))
-    estimate = cover_mod.rho_cover_estimate(g, min(kmax, cfg.radius))
+    counts = [0] * (2 * kmax + 1)  # closed walks in a tree have even length
+    counts[::2] = cover_mod.cover_walk_rows(g, kmax)[0]
+    estimate = cover_mod.rho_cover_estimate(g, kmax)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.cover.v1",
         "config": cfg.to_dict(),
         "graph": {"n": g.vertex_count, "m": g.edge_count},
-        "walk_table": {"base": 0, "counts": list(table.counts), "provenance": "exact"},
+        "walk_table": {"base": 0, "counts": counts, "provenance": "exact"},
         "rho_estimate": {
             "values": estimate,
             "provenance": "truncated-k",
@@ -340,7 +338,7 @@ def _cmd_cover(cfg: RunConfig) -> int:
         },
         "ball": {"vertices": ball.tree.vertex_count, "radius": ball.radius},
     }
-    csv_text = "".join(f"{k},{c}\n" for k, c in enumerate(table.counts))
+    csv_text = "".join(f"{k},{c}\n" for k, c in enumerate(counts))
     _write_report(payload, cfg, csv_text=csv_text)
     return 0
 
@@ -353,6 +351,9 @@ def _cmd_sample(cfg: RunConfig) -> int:
     samples = cfg.samples if cfg.samples is not None else 1000
     r = cfg.r if cfg.r is not None else 3
     exact: float | None = None
+    unread = "r" if stat == "walks" else "k"
+    if getattr(cfg, unread) is not None:
+        raise GraphInputError(f"--stat {stat} does not read --{unread}")
     if stat == "walks":
         if cfg.k is None:
             raise GraphInputError("--stat walks requires --k")
@@ -465,17 +466,18 @@ _FLAGS = {
     "--pretty": {"action": "store_true", "help": "render a human table"},
 }
 _GRAPH = ("--input", "--gen", "--seed")
-_OUTPUT = ("--out", "--format", "--pretty")
+_OUTPUT = ("--out", "--pretty")
 
-# each subcommand registers only the flags it reads, so any other flag exits 2
+# each subcommand registers only the flags it reads, so any other flag exits 2;
+# --format only where there is a CSV rendering, and prefix matching is off
 _SUBCOMMANDS = {
     "analyze": ("degree stats, spectra, bounds, self-checks",
-                _GRAPH + _OUTPUT + ("--kmax", "--r")),
+                _GRAPH + _OUTPUT + ("--format", "--kmax", "--r")),
     "cover": ("truncated universal cover walk table and radius estimate",
-              _GRAPH + _OUTPUT + ("--kmax", "--radius")),
+              _GRAPH + _OUTPUT + ("--format", "--kmax", "--radius")),
     "sample": ("Monte Carlo estimates over random trees",
                ("what", "--pi", "--samples", "--stat", "--k", "--r", "--seed") + _OUTPUT),
-    "census": ("canonical rooted-ball census", _GRAPH + _OUTPUT + ("--radius",)),
+    "census": ("canonical rooted-ball census", _GRAPH + _OUTPUT + ("--format", "--radius")),
     "verify": ("run a check suite and print pass/fail lines", _GRAPH + ("--kmax", "--suite")),
     "report": ("combined analyze + cover + checks report",
                _GRAPH + _OUTPUT + ("--kmax", "--radius")),
@@ -485,11 +487,12 @@ _SUBCOMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unispec",
+        allow_abbrev=False,
         description="Spectra, walk counts, universal covers, and NBW statistics of finite graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser

@@ -1,4 +1,4 @@
-"""Truncated universal covers and the walk-count lifting inequality."""
+"""Universal-cover walk counts by branch series, materialized cover balls, lifting."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import BudgetError, Graph, GraphInputError, build_graph
-from .walks import WalkCountTable, closed_walk_counts
+from .walks import WalkCountTable, branch_series, closed_walk_counts
 
 __all__ = [
     "NODE_BUDGET_DEFAULT",
@@ -16,6 +16,7 @@ __all__ = [
     "LiftCheck",
     "cover_moment_sums",
     "cover_walk_counts",
+    "cover_walk_rows",
     "rho_cover_estimate",
     "universal_cover_ball",
     "verify_lifting",
@@ -62,7 +63,11 @@ def _ball_size_estimate(max_degree: int, radius: int) -> int:
 def universal_cover_ball(
     g: Graph, base: int, radius: int, node_budget: int | None = None
 ) -> CoverBall:
-    """Materialize the universal cover out to ``radius`` around a lift of ``base``."""
+    """Materialize the universal cover out to ``radius`` around a lift of ``base``.
+
+    On the CLI only ``cover`` builds one. With ``cover_walk_counts`` it is the test oracle of
+    ``test_cover_walk_rows_match_*``, ``test_cover_moment_sums_*`` and acceptance 02, 03, 07.
+    """
     if radius < 0:
         raise GraphInputError(f"radius must be nonnegative, got {radius}")
     if not g.is_connected():
@@ -112,7 +117,8 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
     """Exact closed-walk counts of the cover from the lifted root, k <= 2*kmax.
 
     Walks of length 2k stay in the radius-k ball, so counts up to length
-    2*radius are those of the full (usually infinite) cover.
+    2*radius are those of the full (usually infinite) cover. A test oracle
+    (see ``universal_cover_ball``); the CLI reads ``cover_walk_rows``.
     """
     if kmax > cb.radius:
         raise GraphInputError(
@@ -122,6 +128,28 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
     return closed_walk_counts(cb.tree, cb.root, 2 * kmax, budget=2 * kmax)
 
 
+def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
+    """Exact rows[x][k] = W_2k(cover at a lift of x) for every x and k = 0..kmax.
+
+    The branch of directed edge (u, v) is the cover subtree entered from u at v;
+    its successors are the steps (v, w), w != u, and vertex x adds a root branch
+    over every (x, y). The (2m + n)(kmax + 1) coefficients count against the
+    node budget.
+    """
+    if kmax < 0:
+        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
+    if not g.is_connected():
+        raise GraphInputError("universal cover requires a connected graph")
+    budget = _node_budget(None)
+    stored = (2 * g.edge_count + g.vertex_count) * (kmax + 1)
+    if stored > budget:
+        raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
+    index = {e: i for i, e in enumerate(g.directed_edges())}
+    succ = [[index[(v, w)] for w in g.adjacency[v] if w != u] for u, v in index]
+    succ += [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
+    return branch_series(succ, [kmax] * len(succ))[len(index):]
+
+
 class LiftCheck(NamedTuple):
     k: int
     cover_count: int
@@ -129,35 +157,25 @@ class LiftCheck(NamedTuple):
     ok: bool
 
 
-def verify_lifting(
-    g: Graph, base: int, kmax: int, node_budget: int | None = None
-) -> list[LiftCheck]:
+def verify_lifting(g: Graph, base: int, kmax: int) -> list[LiftCheck]:
     """Check W_2k(cover, lift) <= W_2k(g, base) for k = 1..kmax, exactly.
 
     Closed walks lift injectively through the cover map, so every cover count
     is at most the base count; equality holds at every k when g is a tree.
     """
-    cb = universal_cover_ball(g, base, kmax, node_budget=node_budget)
-    cover_counts = cover_walk_counts(cb, kmax).counts
-    base_counts = closed_walk_counts(g, base, 2 * kmax, budget=2 * kmax).counts
-    out = []
-    for k in range(1, kmax + 1):
-        wc, wb = cover_counts[2 * k], base_counts[2 * k]
-        out.append(LiftCheck(k, wc, wb, wc <= wb))
-    return out
+    cover_counts = cover_walk_rows(g, kmax)[base]
+    base_counts = closed_walk_counts(g, base, 2 * kmax, budget=2 * kmax).counts[::2]
+    return [LiftCheck(k, cover_counts[k], base_counts[k], cover_counts[k] <= base_counts[k])
+            for k in range(1, kmax + 1)]
 
 
-def cover_moment_sums(g: Graph, kmax: int, node_budget: int | None = None) -> list[int]:
+def cover_moment_sums(g: Graph, kmax: int) -> list[int]:
     """Exact integer sums[k] = sum_x W_2k(cover at x) over base vertices x, k = 0..kmax;
     sums[k] / n is the cover moment E[W_2k(cover)] under the uniform root."""
-    sums = [0] * (kmax + 1)
-    for base in range(g.vertex_count):
-        cb = universal_cover_ball(g, base, kmax, node_budget=node_budget)
-        sums = [s + c for s, c in zip(sums, cover_walk_counts(cb, kmax).counts[::2])]
-    return sums
+    return [sum(column) for column in zip(*cover_walk_rows(g, kmax))]
 
 
-def rho_cover_estimate(g: Graph, kmax: int, node_budget: int | None = None) -> list[float]:
+def rho_cover_estimate(g: Graph, kmax: int) -> list[float]:
     """Moment norms ((1/n) sum_x W_2k(cover at x))^(1/2k) for k = 1..kmax.
 
     The sequence is nondecreasing and every entry is a lower estimate of the
@@ -167,6 +185,6 @@ def rho_cover_estimate(g: Graph, kmax: int, node_budget: int | None = None) -> l
     if kmax < 1:
         raise GraphInputError(f"kmax must be >= 1, got {kmax}")
     n = g.vertex_count
-    sums = cover_moment_sums(g, kmax, node_budget=node_budget)
+    sums = cover_moment_sums(g, kmax)
     # math.log accepts arbitrarily large ints, so no float overflow on the way
     return [math.exp((math.log(sums[k]) - math.log(n)) / (2 * k)) for k in range(1, kmax + 1)]

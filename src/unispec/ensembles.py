@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .graph import BudgetError, Graph, GraphInputError, bfs_distances, build_graph, induced_subgraph
-from .walks import closed_walk_counts
+from .walks import branch_series
 
 __all__ = [
     "Census",
@@ -223,14 +223,18 @@ def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> 
     """Estimate E[W_2k(T, root)] over unimodular Galton-Watson trees.
 
     Each sample draws a depth-k tree (walks of length 2k never go deeper) and
-    counts its closed walks exactly.
+    counts its closed walks exactly with ``branch_series``, run leaf-up: the
+    branch of a vertex at depth h is its subtree of children, kept to order k - h.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
     values = []
     for i in range(samples):
         tree = sample_ugw(pi, k, (seed, i))
-        values.append(float(closed_walk_counts(tree.graph, tree.root, 2 * k, budget=2 * k).counts[2 * k]))
+        depth = bfs_distances(tree.graph, tree.root)
+        children = [[w for w in nbrs if depth[w] > h]
+                    for nbrs, h in zip(tree.graph.adjacency, depth)]
+        values.append(float(branch_series(children, [k - h for h in depth])[tree.root][k]))
     return _aggregate(values, samples, seed)
 
 
@@ -268,31 +272,14 @@ def estimate_sphere(
 def regular_tree_walks(d: int, kmax: int) -> tuple[int, ...]:
     """Exact closed-walk counts W_2k from a vertex of the infinite d-regular tree.
 
-    Height-profile transfer: a forward step from height 0 has d choices, from
-    height > 0 it has d - 1; backward steps are forced. O(kmax^2) integer work.
+    Two branch classes: a non-root vertex has d - 1 child branches like itself
+    (class 0), the root has d of them (class 1). O(kmax^2) integer work.
     """
     if d < 2:
         raise GraphInputError(f"regular tree degree must be >= 2, got {d}")
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    cur = [0] * (kmax + 2)
-    cur[0] = 1
-    counts = [1]
-    for step in range(1, 2 * kmax + 1):
-        nxt = [0] * (kmax + 2)
-        top = min(step, kmax)
-        for h in range(top + 1):
-            v = cur[h]
-            if not v:
-                continue
-            if h + 1 <= kmax:
-                nxt[h + 1] += v * (d if h == 0 else d - 1)
-            if h > 0:
-                nxt[h - 1] += v
-        cur = nxt
-        if step % 2 == 0:
-            counts.append(cur[0])
-    return tuple(counts)
+    return tuple(branch_series([[0] * (d - 1), [0] * d], [kmax, kmax])[1])
 
 
 # ----------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact closed-walk counting, Dyck paths, the tree-walk codec, weighted walks.
+"""Exact closed-walk counts and branch series, Dyck paths, the tree-walk codec, weighted walks.
 
 Closed walks in a tree are encoded by their height profile (the Dyck path of
 root distances along the walk) together with the directed edges taken at the
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .graph import BudgetError, DirectedEdge, Graph, GraphInputError, bfs_distances
@@ -24,6 +25,7 @@ __all__ = [
     "WALK_BUDGET_DEFAULT",
     "WalkCountTable",
     "WeightFn",
+    "branch_series",
     "catalan",
     "closed_walk_counts",
     "decode_tree_walk",
@@ -84,6 +86,24 @@ def closed_walk_counts(
         vec = [sum(map(vec.__getitem__, nbrs)) for nbrs in adj]
         counts.append(vec[start])
     return WalkCountTable(root, tuple(counts))
+
+
+def branch_series(succ: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
+    """Exact series E_b = 1 / (1 - z * sum_{c in succ[b]} E_c), truncated at z^order[b].
+
+    A branch b is a subtree seen from its parent. Coefficient j of E_b counts the closed
+    walks of length 2j from its top that stay in it: sequences of excursions into child
+    branches c in succ[b] (Hoory 2005). Coefficient j is filled in for every branch before
+    any j + 1, so ``succ`` may contain cycles; a successor of b needs order >= order[b] - 1.
+    """
+    series = [[1] for _ in succ]
+    sums: list[list[int]] = [[] for _ in succ]  # sums[b][i] = sum_{c in succ[b]} E_c[i]
+    for j in range(1, max(order, default=0) + 1):
+        for b, children in enumerate(succ):
+            if order[b] >= j:
+                sums[b].append(sum(series[c][j - 1] for c in children))
+                series[b].append(sum(map(mul, sums[b], reversed(series[b]))))
+    return series
 
 
 def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:

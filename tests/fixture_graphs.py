@@ -57,6 +57,7 @@ FIXTURES = {
 LEAFLESS = ["c3", "c4", "c6", "k4", "petersen", "chorded8", "c4_chord", "grid4"]
 LEAFY = ["p5", "star3", "glued43", "tree9"]
 CONNECTED_NON_TREE = LEAFLESS + ["glued43"]
+LIFTING_FIXTURES = ["c3", "c6", "k4", "petersen", "chorded8"]
 BIPARTITE = ["c4", "c6", "p5", "star3", "grid4"]
 
 

@@ -46,12 +46,11 @@ from fixture_graphs import (
     FIXTURES,
     LEAFLESS,
     LEAFY,
+    LIFTING_FIXTURES,
     CONNECTED_NON_TREE,
     random_connected_graph,
     random_tree,
 )
-
-LIFTING_FIXTURES = ["c3", "c6", "k4", "petersen", "chorded8"]
 
 
 def test_01_regular_tree_radius():

@@ -202,6 +202,23 @@ def test_unknown_flags_exit_2(capsys):
                  ["verify", "--gen", "complete:4", "--pretty"],
                  ["verify", "--gen", "complete:4", "--radius", "2"]):
         assert run_cli(capsys, *argv)[0] == 2, argv
+    # no prefix matching, and --format only where a CSV rendering exists: rejected by the parser
+    for argv in (["report", "--gen", "cycle:5", "--r", "2"],
+                 ["cover", "--gen", "cycle:5", "--r", "3"],
+                 ["analyze", "--gen", "cycle:5", "--k", "2"],
+                 ["report", "--gen", "cycle:5", "--format", "csv"],
+                 walks + ["--format", "csv"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err, argv
+
+
+def test_sample_rejects_flag_of_other_stat(capsys):
+    base = ["sample", "ugw", "--pi", "3:1", "--samples", "2"]
+    code, _, err = run_cli(capsys, *base, "--stat", "walks", "--k", "1", "--r", "9")
+    assert code == 2 and "--r" in err
+    code, _, err = run_cli(capsys, *base, "--stat", "sphere", "--k", "3")
+    assert code == 2 and "--k" in err
+    assert run_cli(capsys, *base, "--stat", "sphere", "--r", "2")[0] == 0
 
 
 def _count_solves(monkeypatch):
@@ -257,6 +274,18 @@ def test_pretty_render(capsys):
     assert code == 0
     assert "degree_stats" in out
     assert not out.lstrip().startswith("{")
+
+
+def test_report_cover_series(capsys, tmp_path):
+    # cover moments need no ball: radius 25 would be a 100,663,294-node cubic cover ball
+    code, out, err = run_cli(capsys, "report", "--gen", "random_regular:30:3", "--radius", "25")
+    assert code == 0, err
+    assert len(json.loads(out)["rho_cover_estimate"]["values"]) == 25
+    path = tmp_path / "two_triangles.edges"
+    path.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    code, _, err = run_cli(capsys, "report", "--input", str(path))
+    assert code == 2
+    assert "universal cover requires a connected graph" in err
 
 
 def test_budget_violation_exit_2(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from unispec import (
     closed_walk_counts,
     cover_moment_sums,
     cover_walk_counts,
+    cover_walk_rows,
     generate,
     regular_tree_walks,
     rho_cover_estimate,
@@ -22,6 +23,7 @@ from fixture_graphs import (
     CONNECTED_NON_TREE,
     FIXTURES,
     LEAFLESS,
+    LIFTING_FIXTURES,
     enumerate_closed_walks,
     random_tree,
 )
@@ -146,8 +148,34 @@ def test_cover_moment_sums_add_lifted_counts(name):
     sums = cover_moment_sums(g, 3)
     assert sums[0] == g.vertex_count
     for k in range(1, 4):
-        assert sums[k] == sum(verify_lifting(g, x, 3)[k - 1].cover_count
+        assert sums[k] == sum(cover_walk_counts(universal_cover_ball(g, x, 3), 3).counts[2 * k]
                               for x in range(g.vertex_count))
+
+
+ROW_GRAPHS = {
+    **{name: FIXTURES[name] for name in LIFTING_FIXTURES},
+    "path:6": generate("path", 6),
+    "glued_clique_path:4:3": generate("glued_clique_path", 4, 3),
+    "random_regular:14:4": generate("random_regular", 14, 4, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_GRAPHS))
+def test_cover_walk_rows_match_materialized_cover(name):
+    # the branch-series recursion against walk iteration on the materialized ball
+    g = ROW_GRAPHS[name]
+    for k in range(7):
+        rows = cover_walk_rows(g, k)
+        for x in range(g.vertex_count):
+            assert rows[x] == list(cover_walk_counts(universal_cover_ball(g, x, k), k).counts[::2])
+
+
+def test_cover_walk_rows_budget(monkeypatch):
+    g = generate("cycle", 4)  # 2m + n = 12 series, kmax + 1 coefficients each
+    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "36")
+    assert cover_walk_rows(g, 2) == [[1, 2, 6]] * 4
+    with pytest.raises(BudgetError, match="48 coefficients"):
+        cover_walk_rows(g, 3)
 
 
 def test_rho_estimate_k4_approaches_2sqrt2():

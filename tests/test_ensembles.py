@@ -11,6 +11,7 @@ from unispec import (
     bfs_distances,
     build_graph,
     canonical_rooted_code,
+    closed_walk_counts,
     estimate_sphere,
     estimate_walk_moment,
     generate,
@@ -107,6 +108,16 @@ def test_walk_moment_line():
 def test_walk_moment_w2_is_mean_degree():
     est = estimate_walk_moment(UNIFORM_23, 1, samples=3000, seed=17)
     assert abs(est.mean - 2.5) <= 3 * est.stderr
+
+
+def test_walk_moment_matches_walk_iteration():
+    # branch series on each sample against ball-local walk iteration on the same trees
+    for k in (1, 3, 5):
+        est = estimate_walk_moment(UNIFORM_23, k, samples=60, seed=41)
+        trees = [sample_ugw(UNIFORM_23, k, (41, i)) for i in range(60)]
+        counts = [float(closed_walk_counts(t.graph, t.root, 2 * k, budget=2 * k).counts[2 * k])
+                  for t in trees]
+        assert est.mean == float(np.asarray(counts).mean())
 
 
 def test_sphere_point_masses():

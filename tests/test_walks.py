@@ -11,6 +11,7 @@ from unispec import (
     GraphInputError,
     WeightFn,
     bfs_distances,
+    branch_series,
     build_graph,
     catalan,
     closed_walk_counts,
@@ -103,6 +104,13 @@ def test_catalan_and_dyck():
         assert len(enumerate_dyck(k)) == catalan(k)
     with pytest.raises(BudgetError):
         enumerate_dyck(15)
+
+
+def test_branch_series_cycles_and_orders():
+    # E_0 = 1 / (1 - z E_0) gives Catalan numbers; two copies under a root give the
+    # line's central binomials, kept to the root's own order
+    series = branch_series([[0], [0, 0]], [9, 3])
+    assert series == [[catalan(j) for j in range(10)], [math.comb(2 * j, j) for j in range(4)]]
 
 
 def test_dyck_validation():
