@@ -48,7 +48,6 @@ from .walks import (
 from .cover import (
     CoverBall,
     LiftCheck,
-    cover_moment_sums,
     cover_walk_counts,
     cover_walk_rows,
     rho_cover_estimate,

@@ -165,11 +165,11 @@ def _suite_walks(g: Graph, kmax: int, report: spectra.EigenReport,
     return rows
 
 
-def _suite_lifting(g: Graph, kmax: int) -> list[dict]:
-    rows = cover_mod.cover_walk_rows(g, kmax)
-    ok = all(c <= b for base in range(min(g.vertex_count, 16))
-             for c, b in zip(rows[base], walks.closed_walk_counts(g, base, 2 * kmax).counts[::2]))
-    return [_check(f"lifting_w2k_cover_le_base_k{kmax}", ok, 0.0 if ok else 1.0)]
+def _suite_lifting(g: Graph, cover_rows: list[list[int]]) -> list[dict]:
+    ok = all(row.ok for base in range(min(g.vertex_count, 16))
+             for row in cover_mod.verify_lifting(g, cover_rows, base))
+    return [_check(f"lifting_w2k_cover_le_base_k{len(cover_rows[0]) - 1}", ok,
+                   0.0 if ok else 1.0)]
 
 
 def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
@@ -184,7 +184,7 @@ def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
     ]
 
 
-def _suite_bounds(g: Graph, stats: DegreeStats, kmax: int,
+def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
                   measure: spectra.SpectralMeasure) -> list[dict]:
     rows = []
     b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
@@ -192,14 +192,13 @@ def _suite_bounds(g: Graph, stats: DegreeStats, kmax: int,
     dev = abs(bounds_mod.hoory_bound(stats) - b1)
     rows.append(_check("hoory_equals_entropy_bound", dev <= 1e-12, dev))
     rho = spectra.sigma(measure, 1)
-    sums = cover_mod.cover_moment_sums(g, kmax)
-    moments = [sums[k] / g.vertex_count for k in range(1, kmax + 1)]
-    rho_est = moments[-1] ** (1.0 / (2 * kmax))
+    moments = [sum(column) / g.vertex_count for column in list(zip(*cover_rows))[1:]]
+    rho_est = cover_mod.rho_cover_estimate(cover_rows)[-1]
     ok = True
-    for k in range(1, kmax + 1):
+    for k, moment in enumerate(moments, 1):
         for i in range(1, 20):
             a = rho_est * i / 20.0
-            lower = bounds_mod.tail_mass_lower_bound(moments[k - 1], rho, a, k)
+            lower = bounds_mod.tail_mass_lower_bound(moment, rho, a, k)
             ok &= spectra.tail_mass(measure, a) >= lower - 1e-12
     rows.append(_check("cover_tail_mass_bound", ok, 0.0 if ok else 1.0))
     eps = 0.3 * rho_est
@@ -214,8 +213,10 @@ SUITES = ("graph", "walks", "lifting", "nbw", "bounds", "all")
 
 
 def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport | None = None,
-                markov: spectra.EigenReport | None = None) -> list[dict]:
-    """Rows of the selected suites; a spectrum not passed in is solved once, if a suite needs it."""
+                markov: spectra.EigenReport | None = None,
+                cover_rows: list[list[int]] | None = None) -> list[dict]:
+    """Rows of the selected suites. A spectrum, or the ``cover_walk_rows`` of order
+    min(kmax, 4), that is not passed in is computed once, if a suite needs it."""
     leafless = g.vertex_count > 0 and g.min_degree >= 2
     connected = g.is_connected()
     if suite in ("nbw", "bounds") and not leafless:
@@ -238,16 +239,18 @@ def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport 
             adjacency = spectra.adjacency_spectrum(g)
         if name == "walks" and markov is None and g.min_degree >= 1:
             markov = spectra.markov_spectrum(g)
+        if name in ("lifting", "bounds") and cover_rows is None:
+            cover_rows = cover_mod.cover_walk_rows(g, min(kmax, 4))
         if name == "graph":
             rows.extend(_suite_graph(g, stats))
         elif name == "walks":
             rows.extend(_suite_walks(g, min(kmax, 6), adjacency, markov))
         elif name == "lifting":
-            rows.extend(_suite_lifting(g, min(kmax, 4)))
+            rows.extend(_suite_lifting(g, cover_rows))
         elif name == "nbw":
             rows.extend(_suite_nbw(g, stats))
         elif name == "bounds":
-            rows.extend(_suite_bounds(g, stats, min(kmax, 4), adjacency.measure))
+            rows.extend(_suite_bounds(g, stats, cover_rows, adjacency.measure))
     return rows
 
 
@@ -323,9 +326,10 @@ def _cmd_cover(cfg: RunConfig) -> int:
         raise GraphInputError("cover requires --radius")
     kmax = min(cfg.kmax if cfg.kmax is not None else cfg.radius, cfg.radius)
     ball = cover_mod.universal_cover_ball(g, 0, cfg.radius)
+    rows = cover_mod.cover_walk_rows(g, kmax)
     counts = [0] * (2 * kmax + 1)  # closed walks in a tree have even length
-    counts[::2] = cover_mod.cover_walk_rows(g, kmax)[0]
-    estimate = cover_mod.rho_cover_estimate(g, kmax)
+    counts[::2] = rows[0]
+    estimate = cover_mod.rho_cover_estimate(rows)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.cover.v1",
         "config": cfg.to_dict(),
@@ -427,8 +431,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_report(cfg: RunConfig) -> int:
     g = _resolve_graph(cfg)
     radius = cfg.radius if cfg.radius is not None else 4
-    estimate = cover_mod.rho_cover_estimate(g, radius)
-    checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4)
+    kmax = cfg.kmax if cfg.kmax is not None else 4
+    # coefficient j of every branch series depends only on those below j, so slices are exact
+    rows = cover_mod.cover_walk_rows(g, max(radius, min(kmax, 4)))
+    estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in rows])
+    checks = _run_suites(g, "all", kmax, cover_rows=[row[:min(kmax, 4) + 1] for row in rows])
     stats = degree_stats(g)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.report.v1",
@@ -502,9 +509,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = RunConfig.__dataclass_fields__
     values = {k: v for k, v in vars(args).items() if k in fields}
     cfg = RunConfig(**values)
+    # radius-0 balls have a census; cover and report need walk lengths 2k with k >= 1
+    radius_min = 0 if cfg.subcommand == "census" else 1
     for name in ("radius", "kmax", "samples", "k", "r"):
         value = getattr(cfg, name)
-        if value is not None and value < (0 if name == "radius" else 1):
+        if value is not None and value < (radius_min if name == "radius" else 1):
             raise GraphInputError(f"--{name} must be positive, got {value}")
     return cfg
 

@@ -14,7 +14,6 @@ __all__ = [
     "NODE_BUDGET_DEFAULT",
     "CoverBall",
     "LiftCheck",
-    "cover_moment_sums",
     "cover_walk_counts",
     "cover_walk_rows",
     "rho_cover_estimate",
@@ -26,9 +25,7 @@ NODE_BUDGET_DEFAULT = 5_000_000
 NODE_BUDGET_ENV = "UNISPEC_NODE_BUDGET"
 
 
-def _node_budget(override: int | None) -> int:
-    if override is not None:
-        return override
+def _node_budget() -> int:
     env = os.environ.get(NODE_BUDGET_ENV)
     return int(env) if env else NODE_BUDGET_DEFAULT
 
@@ -60,19 +57,17 @@ def _ball_size_estimate(max_degree: int, radius: int) -> int:
     return 1 + max_degree * ((max_degree - 1) ** radius - 1) // (max_degree - 2)
 
 
-def universal_cover_ball(
-    g: Graph, base: int, radius: int, node_budget: int | None = None
-) -> CoverBall:
+def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
     """Materialize the universal cover out to ``radius`` around a lift of ``base``.
 
     On the CLI only ``cover`` builds one. With ``cover_walk_counts`` it is the test oracle of
-    ``test_cover_walk_rows_match_*``, ``test_cover_moment_sums_*`` and acceptance 02, 03, 07.
+    ``test_cover_walk_rows_match_*`` and acceptance 02, 03, 07.
     """
     if radius < 0:
         raise GraphInputError(f"radius must be nonnegative, got {radius}")
     if not g.is_connected():
         raise GraphInputError("universal cover requires a connected graph")
-    budget = _node_budget(node_budget)
+    budget = _node_budget()
     estimate = _ball_size_estimate(g.max_degree, radius)
     if estimate > budget:
         raise BudgetError(
@@ -140,7 +135,7 @@ def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     if not g.is_connected():
         raise GraphInputError("universal cover requires a connected graph")
-    budget = _node_budget(None)
+    budget = _node_budget()
     stored = (2 * g.edge_count + g.vertex_count) * (kmax + 1)
     if stored > budget:
         raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
@@ -157,34 +152,32 @@ class LiftCheck(NamedTuple):
     ok: bool
 
 
-def verify_lifting(g: Graph, base: int, kmax: int) -> list[LiftCheck]:
+def verify_lifting(g: Graph, rows: list[list[int]], base: int) -> list[LiftCheck]:
     """Check W_2k(cover, lift) <= W_2k(g, base) for k = 1..kmax, exactly.
 
-    Closed walks lift injectively through the cover map, so every cover count
-    is at most the base count; equality holds at every k when g is a tree.
+    ``rows`` are those of ``cover_walk_rows(g, kmax)``. Closed walks lift injectively
+    through the cover map, so every cover count is at most the base count; equality
+    holds at every k when g is a tree.
     """
-    cover_counts = cover_walk_rows(g, kmax)[base]
+    cover_counts = rows[base]
+    kmax = len(cover_counts) - 1
     base_counts = closed_walk_counts(g, base, 2 * kmax, budget=2 * kmax).counts[::2]
     return [LiftCheck(k, cover_counts[k], base_counts[k], cover_counts[k] <= base_counts[k])
             for k in range(1, kmax + 1)]
 
 
-def cover_moment_sums(g: Graph, kmax: int) -> list[int]:
-    """Exact integer sums[k] = sum_x W_2k(cover at x) over base vertices x, k = 0..kmax;
-    sums[k] / n is the cover moment E[W_2k(cover)] under the uniform root."""
-    return [sum(column) for column in zip(*cover_walk_rows(g, kmax))]
-
-
-def rho_cover_estimate(g: Graph, kmax: int) -> list[float]:
+def rho_cover_estimate(rows: list[list[int]]) -> list[float]:
     """Moment norms ((1/n) sum_x W_2k(cover at x))^(1/2k) for k = 1..kmax.
 
-    The sequence is nondecreasing and every entry is a lower estimate of the
-    cover's spectral radius in the vertex-averaged sense; no extrapolation is
-    performed, the final entry is an estimate and not a per-root bound.
+    ``rows`` are those of ``cover_walk_rows(g, kmax)``. The sequence is nondecreasing
+    and every entry is a lower estimate of the cover's spectral radius in the
+    vertex-averaged sense; no extrapolation is performed, the final entry is an
+    estimate and not a per-root bound.
     """
+    kmax = len(rows[0]) - 1
     if kmax < 1:
         raise GraphInputError(f"kmax must be >= 1, got {kmax}")
-    n = g.vertex_count
-    sums = cover_moment_sums(g, kmax)
+    n = len(rows)
+    sums = [sum(column) for column in zip(*rows)]
     # math.log accepts arbitrarily large ints, so no float overflow on the way
     return [math.exp((math.log(sums[k]) - math.log(n)) / (2 * k)) for k in range(1, kmax + 1)]

@@ -170,9 +170,7 @@ class _Sampler:
         return self.off_values[np.searchsorted(self.off_cum, rng.random(count))]
 
 
-def sample_ugw(
-    pi: DegreeDistribution, depth: int, seed, node_budget: int = UGW_NODE_BUDGET
-) -> RootedTree:
+def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     """Sample a unimodular Galton-Watson tree truncated at ``depth``.
 
     Vertex 0 is the root; vertices at distance ``depth`` get no children.
@@ -194,8 +192,8 @@ def sample_ugw(
                 edges.append((v, n))
                 nxt.append(n)
                 n += 1
-                if n > node_budget:
-                    raise BudgetError(f"UGW sample exceeded node budget {node_budget}")
+                if n > UGW_NODE_BUDGET:
+                    raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
         frontier = nxt
         if level + 1 < depth:
             counts_next = list(sampler.offspring(rng, len(frontier)))
@@ -252,7 +250,8 @@ def estimate_sphere(
     """Monte Carlo estimate of E[|S_r|] plus the exact branching value.
 
     Only generation sizes are simulated (same draws as growing the tree level
-    by level), which keeps 1e5-sample runs cheap.
+    by level), which keeps 1e5-sample runs cheap. Like ``sample_ugw``, it raises
+    ``BudgetError`` rather than draw for a tree already past ``UGW_NODE_BUDGET`` vertices.
     """
     if r < 1:
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
@@ -263,8 +262,12 @@ def estimate_sphere(
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         size = sampler.root_degree(rng)
+        total = 1 + size
         for _ in range(r - 1):
+            if total > UGW_NODE_BUDGET:
+                raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
             size = int(sampler.offspring(rng, size).sum())
+            total += size
         values.append(float(size))
     return _aggregate(values, samples, seed), exact_sphere_expectation(pi, r)
 
@@ -348,13 +351,11 @@ def _min_code(adj: list[list[int]], colors: list[int], budget: list[int]) -> tup
     return best
 
 
-def canonical_rooted_code(
-    g: Graph, root: int, radius: int, exact_limit: int = EXACT_CANON_LIMIT
-) -> tuple[str, bool]:
+def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     """Canonical code of the rooted ball B_radius(g, root).
 
     Exact canonical form (minimum code over refinement-individualized
-    orderings) up to ``exact_limit`` vertices; larger balls fall back to an
+    orderings) up to ``EXACT_CANON_LIMIT`` vertices; larger balls fall back to an
     iterative-refinement hash, flagged non-exact, which can in principle
     collide for refinement-equivalent non-isomorphic balls.
     """
@@ -365,7 +366,7 @@ def canonical_rooted_code(
     adj = [list(ball.adjacency[v]) for v in range(ball.vertex_count)]
     local_dist = bfs_distances(ball, local_root)
     init = list(local_dist)  # root alone at distance 0
-    if ball.vertex_count <= exact_limit:
+    if ball.vertex_count <= EXACT_CANON_LIMIT:
         try:
             n, edges = _min_code(adj, init, [CANON_SEARCH_CAP])
             body = ",".join(f"{u}-{v}" for u, v in edges)
@@ -380,14 +381,14 @@ def canonical_rooted_code(
     return f"h{ball.vertex_count}:{digest}", False
 
 
-def ball_census(g: Graph, r: int, exact_limit: int = EXACT_CANON_LIMIT) -> Census:
+def ball_census(g: Graph, r: int) -> Census:
     """Census of canonical r-ball codes over all n root choices."""
     if r < 0:
         raise GraphInputError(f"radius must be nonnegative, got {r}")
     counts: dict[str, int] = {}
     all_exact = True
     for root in range(g.vertex_count):
-        code, exact = canonical_rooted_code(g, root, r, exact_limit=exact_limit)
+        code, exact = canonical_rooted_code(g, root, r)
         all_exact &= exact
         counts[code] = counts.get(code, 0) + 1
     return Census(radius=r, counts=counts, total=g.vertex_count, exact=all_exact)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
@@ -68,11 +69,11 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
         return min((len(n) for n in self.adjacency), default=0)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max((len(n) for n in self.adjacency), default=0)
 

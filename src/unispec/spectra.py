@@ -67,18 +67,18 @@ def _eigh_report(sym: np.ndarray, kind: str, residual_bound: float) -> EigenRepo
     return EigenReport(SpectralMeasure(tuple(float(x) for x in w), kind), max_residual)
 
 
-def adjacency_spectrum(g: Graph, dense_limit: int = DENSE_LIMIT_DEFAULT) -> EigenReport:
+def adjacency_spectrum(g: Graph) -> EigenReport:
     """All eigenvalues of the adjacency matrix, with a residual certificate."""
     n = g.vertex_count
     if n < 1:
         raise GraphInputError("adjacency_spectrum needs at least one vertex")
-    if n > dense_limit:
-        raise BudgetError(f"n={n} exceeds dense eigensolver limit {dense_limit}")
+    if n > DENSE_LIMIT_DEFAULT:
+        raise BudgetError(f"n={n} exceeds dense eigensolver limit {DENSE_LIMIT_DEFAULT}")
     bound = RESIDUAL_FACTOR * max(1, g.max_degree)
     return _eigh_report(g.adjacency_matrix(), "adjacency", bound)
 
 
-def markov_spectrum(g: Graph, dense_limit: int = DENSE_LIMIT_DEFAULT) -> EigenReport:
+def markov_spectrum(g: Graph) -> EigenReport:
     """Eigenvalues of P = D^-1 A via the symmetric conjugate D^-1/2 A D^-1/2.
 
     The conjugation keeps the solve symmetric, so the spectrum is certified
@@ -89,8 +89,8 @@ def markov_spectrum(g: Graph, dense_limit: int = DENSE_LIMIT_DEFAULT) -> EigenRe
         raise GraphInputError("markov_spectrum needs at least one vertex")
     if g.min_degree < 1:
         raise GraphInputError("markov_spectrum undefined with an isolated vertex")
-    if n > dense_limit:
-        raise BudgetError(f"n={n} exceeds dense eigensolver limit {dense_limit}")
+    if n > DENSE_LIMIT_DEFAULT:
+        raise BudgetError(f"n={n} exceeds dense eigensolver limit {DENSE_LIMIT_DEFAULT}")
     a = g.adjacency_matrix()
     scale = 1.0 / np.sqrt(np.array([g.degree(v) for v in range(n)], dtype=np.float64))
     sym = a * np.outer(scale, scale)

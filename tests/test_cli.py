@@ -1,7 +1,7 @@
 import json
 import math
 
-from unispec import bounds, ensembles, nbw, spectra
+from unispec import bounds, cover, ensembles, nbw, spectra
 from unispec.cli import run
 
 
@@ -123,6 +123,11 @@ def test_cover_requires_radius(capsys):
     code, _, err = run_cli(capsys, "cover", "--gen", "cycle:8")
     assert code == 2
     assert "radius" in err
+    # walk lengths 2k need k >= 1; a census of radius-0 balls is defined
+    for command in ("cover", "report"):
+        code, _, err = run_cli(capsys, command, "--gen", "cycle:8", "--radius", "0")
+        assert code == 2 and "--radius" in err, command
+    assert run_cli(capsys, "census", "--gen", "cycle:8", "--radius", "0")[0] == 0
 
 
 def test_sample_walks_point_mass(capsys):
@@ -160,6 +165,14 @@ def test_sample_sphere_growth_bound_radius(capsys):
     pi = ensembles.DegreeDistribution.from_string("2:0.5,3:0.5")
     assert report["growth_bound"]["bound"] == bounds.sphere_growth_bounds(pi, 5)[0]
     assert "depth" not in report["config"]
+
+
+def test_sample_sphere_node_budget(capsys):
+    # 10-regular offspring: |S_8| = 47,829,690, past the budget after generation 7
+    code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "10:1", "--samples", "1",
+                           "--stat", "sphere", "--r", "8")
+    assert code == 2
+    assert "budget" in err
 
 
 def test_sample_bad_pi(capsys):
@@ -259,6 +272,29 @@ def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:5")
     assert code == 0, err
     assert calls == {"adjacency_spectrum": 1, "markov_spectrum": 1}
+
+
+def test_cover_rows_once_per_command(capsys, monkeypatch):
+    orders = []
+    original = cover.cover_walk_rows
+
+    def counted(g, kmax):
+        orders.append(kmax)
+        return original(g, kmax)
+
+    monkeypatch.setattr(cover, "cover_walk_rows", counted)
+    graph = ["--gen", "random_regular:20:3", "--seed", "2"]
+    for argv, expected in ((["analyze"], [4]), (["verify", "--suite", "all"], [4]),
+                           (["verify", "--suite", "lifting"], [4]),
+                           (["verify", "--suite", "bounds"], [4]),
+                           (["verify", "--suite", "nbw"], []),
+                           (["cover", "--radius", "6"], [6]), (["report"], [4]),
+                           (["report", "--radius", "2", "--kmax", "6"], [4]),
+                           (["report", "--radius", "7", "--kmax", "2"], [7])):
+        orders.clear()
+        code, _, err = run_cli(capsys, *argv, *graph)
+        assert code == 0, (argv, err)
+        assert orders == expected, argv
 
 
 def test_gen_spec_errors(capsys):

@@ -8,7 +8,6 @@ from unispec import (
     adjacency_spectrum,
     canonical_rooted_code,
     closed_walk_counts,
-    cover_moment_sums,
     cover_walk_counts,
     cover_walk_rows,
     generate,
@@ -20,7 +19,6 @@ from unispec import (
 )
 
 from fixture_graphs import (
-    CONNECTED_NON_TREE,
     FIXTURES,
     LEAFLESS,
     LIFTING_FIXTURES,
@@ -101,10 +99,11 @@ def test_cover_radius_guard():
         cover_walk_counts(cb, 3)
 
 
-def test_node_budget_errors():
+def test_node_budget_errors(monkeypatch):
     g = generate("complete", 4)
+    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "100")
     with pytest.raises(BudgetError, match="estimate"):
-        universal_cover_ball(g, 0, 10, node_budget=100)
+        universal_cover_ball(g, 0, 10)
 
 
 def test_node_budget_env_override(monkeypatch):
@@ -117,7 +116,8 @@ def test_node_budget_env_override(monkeypatch):
 
 
 def test_lifting_c3():
-    rows = verify_lifting(generate("cycle", 3), 0, 3)
+    g = generate("cycle", 3)
+    rows = verify_lifting(g, cover_walk_rows(g, 3), 0)
     by_k = {row.k: row for row in rows}
     assert by_k[3].cover_count == 20  # binom(6, 3) on the line
     assert by_k[3].base_count == 22  # (A^6)_xx on the triangle
@@ -127,33 +127,25 @@ def test_lifting_c3():
 def test_lifting_tree_equality():
     rng = np.random.default_rng(12)
     tree = random_tree(10, rng)
-    for row in verify_lifting(tree, 0, 4):
+    for row in verify_lifting(tree, cover_walk_rows(tree, 4), 0):
         assert row.cover_count == row.base_count
 
 
 def test_lifting_k4():
-    assert all(row.ok for row in verify_lifting(generate("complete", 4), 0, 4))
+    g = generate("complete", 4)
+    assert all(row.ok for row in verify_lifting(g, cover_walk_rows(g, 4), 0))
 
 
 def test_rho_estimate_cycle_approaches_two():
-    values = rho_cover_estimate(generate("cycle", 6), 6)
+    values = rho_cover_estimate(cover_walk_rows(generate("cycle", 6), 6))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < 2.0
     assert values[-1] > 1.7
 
 
-@pytest.mark.parametrize("name", CONNECTED_NON_TREE)
-def test_cover_moment_sums_add_lifted_counts(name):
-    g = FIXTURES[name]
-    sums = cover_moment_sums(g, 3)
-    assert sums[0] == g.vertex_count
-    for k in range(1, 4):
-        assert sums[k] == sum(cover_walk_counts(universal_cover_ball(g, x, 3), 3).counts[2 * k]
-                              for x in range(g.vertex_count))
-
-
+# every connected non-tree fixture; glued43 is the graph of "glued_clique_path:4:3"
 ROW_GRAPHS = {
-    **{name: FIXTURES[name] for name in LIFTING_FIXTURES},
+    **{name: FIXTURES[name] for name in LIFTING_FIXTURES + ["c4", "c4_chord", "grid4"]},
     "path:6": generate("path", 6),
     "glued_clique_path:4:3": generate("glued_clique_path", 4, 3),
     "random_regular:14:4": generate("random_regular", 14, 4, seed=5),
@@ -179,7 +171,7 @@ def test_cover_walk_rows_budget(monkeypatch):
 
 
 def test_rho_estimate_k4_approaches_2sqrt2():
-    values = rho_cover_estimate(generate("complete", 4), 6)
+    values = rho_cover_estimate(cover_walk_rows(generate("complete", 4), 6))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < 2 * math.sqrt(2)
     assert values[-1] > 2.3
@@ -195,7 +187,7 @@ def test_cover_of_complete_matches_regular_tree(d):
 
 def test_glued_estimate_below_sigma1():
     g = FIXTURES["glued43"]
-    values = rho_cover_estimate(g, 5)
+    values = rho_cover_estimate(cover_walk_rows(g, 5))
     top = sigma(adjacency_spectrum(g).measure, 1)
     assert values[-1] <= top + 1e-9
 
@@ -203,5 +195,6 @@ def test_glued_estimate_below_sigma1():
 @pytest.mark.parametrize("name", LEAFLESS)
 def test_lifting_all_leafless(name):
     g = FIXTURES[name]
+    rows = cover_walk_rows(g, 4)
     for base in range(g.vertex_count):
-        assert all(row.ok for row in verify_lifting(g, base, 4))
+        assert all(row.ok for row in verify_lifting(g, rows, base))

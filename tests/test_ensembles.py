@@ -199,10 +199,10 @@ def test_census_relabel_invariance():
 
 def test_census_hash_degradation_flagged():
     big = generate("complete", 45)
-    census = ball_census(big, 1, exact_limit=40)
+    census = ball_census(big, 1)
     assert not census.exact
     assert list(census.counts.values()) == [45]
-    code, exact = canonical_rooted_code(big, 0, 1, exact_limit=40)
+    code, exact = canonical_rooted_code(big, 0, 1)
     assert code.startswith("h") and not exact
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from unispec import spectra
 from unispec import (
     BudgetError,
     GraphInputError,
@@ -59,9 +60,10 @@ def test_residual_contract(name):
     assert max(abs(x) for x in ev) <= g.max_degree + 1e-9
 
 
-def test_dense_limit():
+def test_dense_limit(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", 5)
     with pytest.raises(BudgetError):
-        adjacency_spectrum(generate("cycle", 10), dense_limit=5)
+        adjacency_spectrum(generate("cycle", 10))
 
 
 def test_markov_cycle_closed_form():
