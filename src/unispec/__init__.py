@@ -48,6 +48,7 @@ from .walks import (
 from .cover import (
     CoverBall,
     LiftCheck,
+    cover_ball_size,
     cover_walk_counts,
     cover_walk_rows,
     rho_cover_estimate,

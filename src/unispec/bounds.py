@@ -151,10 +151,9 @@ def tail_mass_constant(
 
 
 def srw_tail_threshold(stats: DegreeStats | DegreeDistribution) -> float:
-    """2 d_av sqrt(d_av - 1) / E[deg^2]: the threshold below which the Markov
-    spectrum of a growing leafless sequence keeps positive mass."""
-    m = degree_moments(stats)
-    return 2.0 * m.mean_d * math.sqrt(m.mean_d - 1.0) / m.mean_d2
+    """2 d_av sqrt(d_av - 1) / E[deg^2], the b2 of ``tree_srw_radius_bounds``: the threshold
+    below which the Markov spectrum of a growing leafless sequence keeps positive mass."""
+    return tree_srw_radius_bounds(stats)[1]
 
 
 def sphere_growth_bounds(stats: DegreeStats | DegreeDistribution, r: int) -> tuple[float, float]:

@@ -325,7 +325,7 @@ def _cmd_cover(cfg: RunConfig) -> int:
     if cfg.radius is None:
         raise GraphInputError("cover requires --radius")
     kmax = min(cfg.kmax if cfg.kmax is not None else cfg.radius, cfg.radius)
-    ball = cover_mod.universal_cover_ball(g, 0, cfg.radius)
+    ball_size = cover_mod.cover_ball_size(g, 0, cfg.radius)
     rows = cover_mod.cover_walk_rows(g, kmax)
     counts = [0] * (2 * kmax + 1)  # closed walks in a tree have even length
     counts[::2] = rows[0]
@@ -340,7 +340,7 @@ def _cmd_cover(cfg: RunConfig) -> int:
             "provenance": "truncated-k",
             "note": "lower estimate of the cover spectral radius; no extrapolation",
         },
-        "ball": {"vertices": ball.tree.vertex_count, "radius": ball.radius},
+        "ball": {"vertices": ball_size, "radius": cfg.radius},
     }
     csv_text = "".join(f"{k},{c}\n" for k, c in enumerate(counts))
     _write_report(payload, cfg, csv_text=csv_text)

@@ -14,6 +14,7 @@ __all__ = [
     "NODE_BUDGET_DEFAULT",
     "CoverBall",
     "LiftCheck",
+    "cover_ball_size",
     "cover_walk_counts",
     "cover_walk_rows",
     "rho_cover_estimate",
@@ -60,8 +61,8 @@ def _ball_size_estimate(max_degree: int, radius: int) -> int:
 def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
     """Materialize the universal cover out to ``radius`` around a lift of ``base``.
 
-    On the CLI only ``cover`` builds one. With ``cover_walk_counts`` it is the test oracle of
-    ``test_cover_walk_rows_match_*`` and acceptance 02, 03, 07.
+    The CLI builds none. With ``cover_walk_counts`` it is the test oracle of
+    ``test_cover_walk_rows_match_*`` (rows and ``cover_ball_size``) and acceptance 02, 03, 07.
     """
     if radius < 0:
         raise GraphInputError(f"radius must be nonnegative, got {radius}")
@@ -123,26 +124,41 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
     return closed_walk_counts(cb.tree, cb.root, 2 * kmax, budget=2 * kmax)
 
 
-def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
-    """Exact rows[x][k] = W_2k(cover at a lift of x) for every x and k = 0..kmax.
-
-    The branch of directed edge (u, v) is the cover subtree entered from u at v;
-    its successors are the steps (v, w), w != u, and vertex x adds a root branch
-    over every (x, y). The (2m + n)(kmax + 1) coefficients count against the
-    node budget.
-    """
-    if kmax < 0:
-        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
+def _cover_branches(g: Graph, order: int) -> list[list[int]]:
+    """Successors of the cover's branches: directed edge (u, v) is the subtree entered from u
+    at v, over the steps (v, w), w != u; then one root branch per vertex x, over every (x, y).
+    Series to z^order on these 2m + n branches count against the node budget."""
+    if g.vertex_count == 0:
+        raise GraphInputError("universal cover requires a nonempty graph")
     if not g.is_connected():
         raise GraphInputError("universal cover requires a connected graph")
     budget = _node_budget()
-    stored = (2 * g.edge_count + g.vertex_count) * (kmax + 1)
+    stored = (2 * g.edge_count + g.vertex_count) * (order + 1)
     if stored > budget:
         raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
     index = {e: i for i, e in enumerate(g.directed_edges())}
     succ = [[index[(v, w)] for w in g.adjacency[v] if w != u] for u, v in index]
-    succ += [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
-    return branch_series(succ, [kmax] * len(succ))[len(index):]
+    return succ + [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
+
+
+def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
+    """Exact rows[x][k] = W_2k(cover at a lift of x) for every x and k = 0..kmax."""
+    if kmax < 0:
+        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
+    succ = _cover_branches(g, kmax)
+    return branch_series(succ, [kmax] * len(succ))[2 * g.edge_count:]
+
+
+def cover_ball_size(g: Graph, base: int, radius: int) -> int:
+    """Vertex count of the radius-``radius`` cover ball around a lift of ``base``: the branch
+    sizes N_j(b) = 1 + sum_{c in succ[b]} N_{j-1}(c), N_0 = 1, at the root branch of ``base``."""
+    if radius < 0:
+        raise GraphInputError(f"radius must be nonnegative, got {radius}")
+    succ = _cover_branches(g, radius)
+    sizes = [1] * len(succ)
+    for _ in range(radius):
+        sizes = [1 + sum(map(sizes.__getitem__, children)) for children in succ]
+    return sizes[2 * g.edge_count + base]
 
 
 class LiftCheck(NamedTuple):

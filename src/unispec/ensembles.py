@@ -16,12 +16,13 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import BudgetError, Graph, GraphInputError, bfs_distances, build_graph, induced_subgraph
-from .walks import branch_series
+from .graph import BudgetError, Graph, GraphInputError, build_graph
+from .walks import _ball_adjacency, branch_series
 
 __all__ = [
     "Census",
@@ -150,24 +151,42 @@ class RootedTree(NamedTuple):
     depth: int
 
 
-class _Sampler:
-    """Inverse-CDF draws for the root-degree and offspring laws."""
+def _inverse_cdfs(pi: DegreeDistribution) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Inverse-CDF tables (values, cumulative probabilities): root degree, size-biased offspring."""
+    offspring = pi.size_biased_offspring()
+    return ((np.array(pi.support), np.cumsum([float(p) for p in pi.probabilities])),
+            (np.array([k for k, _ in offspring]), np.cumsum([float(p) for _, p in offspring])))
 
-    def __init__(self, pi: DegreeDistribution):
-        root_probs = np.array([float(p) for p in pi.probabilities])
-        self.root_values = np.array(pi.support)
-        self.root_cum = np.cumsum(root_probs)
-        offspring = pi.size_biased_offspring()
-        self.off_values = np.array([k for k, _ in offspring])
-        self.off_cum = np.cumsum(np.array([float(p) for _, p in offspring]))
 
-    def root_degree(self, rng) -> int:
-        return int(self.root_values[np.searchsorted(self.root_cum, rng.random())])
+def _generations(laws: tuple, depth: int, rng) -> tuple[list[np.ndarray], int]:
+    """Grow a UGW tree: child counts of generations 0..depth-1 and the size of generation depth.
 
-    def offspring(self, rng, count: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.off_values[np.searchsorted(self.off_cum, rng.random(count))]
+    Vertices are numbered level by level, so each vertex's children are consecutive. The root's
+    degree comes from pi, then one size-biased offspring draw per generation; an empty generation
+    ends the list. The only ``UGW_NODE_BUDGET`` check: it counts every vertex, the last level too.
+    """
+    if depth < 0:
+        raise GraphInputError(f"depth must be nonnegative, got {depth}")
+    (values, cum), offspring = laws
+    counts = []
+    size = total = 1
+    while size and len(counts) < depth:
+        drawn = values[cum.searchsorted(rng.random(size))]
+        counts.append(drawn)
+        size = int(drawn.sum())
+        total += size
+        if total > UGW_NODE_BUDGET:
+            raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
+        values, cum = offspring
+    return counts, size
+
+
+def _tree_lists(counts: list[np.ndarray], size: int) -> tuple[list[range], list[int]]:
+    """Children and depth of every vertex of a tree grown by ``_generations``."""
+    flat = [c for generation in counts for c in generation.tolist()]
+    children = [range(a, a + c) for a, c in zip(accumulate(flat, initial=1), flat)]
+    depth = [h for h, generation in enumerate(counts) for _ in range(len(generation))]
+    return children + [range(0)] * size, depth + [len(counts)] * size
 
 
 def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
@@ -176,28 +195,9 @@ def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     Vertex 0 is the root; vertices at distance ``depth`` get no children.
     Deterministic for a fixed seed (ints and (master, index) tuples both work).
     """
-    if depth < 0:
-        raise GraphInputError(f"depth must be nonnegative, got {depth}")
-    rng = np.random.default_rng(seed)
-    sampler = _Sampler(pi)
-    edges: list[tuple[int, int]] = []
-    n = 1
-    frontier = [0]
-    counts_next = [sampler.root_degree(rng)] if depth > 0 else []
-    for level in range(depth):
-        children_counts = counts_next
-        nxt = []
-        for v, c in zip(frontier, children_counts):
-            for _ in range(c):
-                edges.append((v, n))
-                nxt.append(n)
-                n += 1
-                if n > UGW_NODE_BUDGET:
-                    raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
-        frontier = nxt
-        if level + 1 < depth:
-            counts_next = list(sampler.offspring(rng, len(frontier)))
-    return RootedTree(build_graph(edges, n), 0, depth)
+    children, _ = _tree_lists(*_generations(_inverse_cdfs(pi), depth, np.random.default_rng(seed)))
+    edges = [(v, w) for v, kids in enumerate(children) for w in kids]
+    return RootedTree(build_graph(edges, len(children)), 0, depth)
 
 
 @dataclass(frozen=True)
@@ -220,19 +220,17 @@ def _aggregate(values: Sequence[float], samples: int, seed) -> Estimate:
 def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> Estimate:
     """Estimate E[W_2k(T, root)] over unimodular Galton-Watson trees.
 
-    Each sample draws a depth-k tree (walks of length 2k never go deeper) and
+    Each sample grows a depth-k tree (walks of length 2k never go deeper) and
     counts its closed walks exactly with ``branch_series``, run leaf-up: the
     branch of a vertex at depth h is its subtree of children, kept to order k - h.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
+    laws = _inverse_cdfs(pi)
     values = []
     for i in range(samples):
-        tree = sample_ugw(pi, k, (seed, i))
-        depth = bfs_distances(tree.graph, tree.root)
-        children = [[w for w in nbrs if depth[w] > h]
-                    for nbrs, h in zip(tree.graph.adjacency, depth)]
-        values.append(float(branch_series(children, [k - h for h in depth])[tree.root][k]))
+        children, depth = _tree_lists(*_generations(laws, k, np.random.default_rng((seed, i))))
+        values.append(float(branch_series(children, [k - h for h in depth])[0][k]))
     return _aggregate(values, samples, seed)
 
 
@@ -249,26 +247,16 @@ def estimate_sphere(
 ) -> tuple[Estimate, float]:
     """Monte Carlo estimate of E[|S_r|] plus the exact branching value.
 
-    Only generation sizes are simulated (same draws as growing the tree level
-    by level), which keeps 1e5-sample runs cheap. Like ``sample_ugw``, it raises
-    ``BudgetError`` rather than draw for a tree already past ``UGW_NODE_BUDGET`` vertices.
+    Only generation sizes are kept: the tree grows through ``_generations``, with the
+    draws and the node budget of ``sample_ugw``, which keeps 1e5-sample runs cheap.
     """
     if r < 1:
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
-    sampler = _Sampler(pi)
-    values = []
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        size = sampler.root_degree(rng)
-        total = 1 + size
-        for _ in range(r - 1):
-            if total > UGW_NODE_BUDGET:
-                raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
-            size = int(sampler.offspring(rng, size).sum())
-            total += size
-        values.append(float(size))
+    laws = _inverse_cdfs(pi)
+    values = [float(_generations(laws, r, np.random.default_rng((seed, i)))[1])
+              for i in range(samples)]
     return _aggregate(values, samples, seed), exact_sphere_expectation(pi, r)
 
 
@@ -359,14 +347,9 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     iterative-refinement hash, flagged non-exact, which can in principle
     collide for refinement-equivalent non-isomorphic balls.
     """
-    dist = bfs_distances(g, root, limit=radius)
-    vertices = [v for v in range(g.vertex_count) if 0 <= dist[v] <= radius]
-    ball = induced_subgraph(g, vertices)
-    local_root = vertices.index(root)
-    adj = [list(ball.adjacency[v]) for v in range(ball.vertex_count)]
-    local_dist = bfs_distances(ball, local_root)
-    init = list(local_dist)  # root alone at distance 0
-    if ball.vertex_count <= EXACT_CANON_LIMIT:
+    adj, local_root, ball, dist = _ball_adjacency(g, root, radius)
+    init = [dist[v] for v in ball]  # root alone at distance 0
+    if len(adj) <= EXACT_CANON_LIMIT:
         try:
             n, edges = _min_code(adj, init, [CANON_SEARCH_CAP])
             body = ",".join(f"{u}-{v}" for u, v in edges)
@@ -374,11 +357,11 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
         except _CanonBudget:
             pass
     colors = _refine(adj, init)
-    payload = repr((ball.vertex_count, colors[local_root],
+    payload = repr((len(adj), colors[local_root],
                     sorted((colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                           for v in range(ball.vertex_count))))
+                           for v in range(len(adj)))))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return f"h{ball.vertex_count}:{digest}", False
+    return f"h{len(adj)}:{digest}", False
 
 
 def ball_census(g: Graph, r: int) -> Census:

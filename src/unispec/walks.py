@@ -56,13 +56,14 @@ class WalkCountTable:
         return len(self.counts) - 1
 
 
-def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], int, list[int]]:
-    """B_radius(root) as local adjacency lists, the root's local index, and its vertices."""
+def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], int, list, list]:
+    """B_radius(root) as local adjacency lists, the root's local index, its vertices in
+    increasing order, and the BFS distances from the root (by vertex of g, -1 outside)."""
     dist = bfs_distances(g, root, limit=radius)
     ball = [v for v in range(g.vertex_count) if 0 <= dist[v] <= radius]
     local = {v: i for i, v in enumerate(ball)}
     adj = [[local[w] for w in g.adjacency[v] if w in local] for v in ball]
-    return adj, local[root], ball
+    return adj, local[root], ball, dist
 
 
 def closed_walk_counts(
@@ -78,7 +79,7 @@ def closed_walk_counts(
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     if budget is not None and kmax > budget:
         raise BudgetError(f"kmax={kmax} exceeds walk budget {budget}")
-    adj, start, _ = _ball_adjacency(g, root, kmax // 2)
+    adj, start, _, _ = _ball_adjacency(g, root, kmax // 2)
     vec = [0] * len(adj)
     vec[start] = 1
     counts = [1]
@@ -116,7 +117,7 @@ def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:
         raise GraphInputError("srw_return_probs undefined with an isolated vertex")
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, start, ball = _ball_adjacency(g, root, kmax // 2)
+    adj, start, ball, _ = _ball_adjacency(g, root, kmax // 2)
     inv_deg = [1.0 / g.degree(v) for v in ball]
     vec = [0.0] * len(ball)
     vec[start] = 1.0
@@ -336,7 +337,7 @@ def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> lis
     _check_tree(tree)
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, start, ball = _ball_adjacency(tree, root, kmax)
+    adj, start, ball, _ = _ball_adjacency(tree, root, kmax)
     # incoming[u] lists (v_local, weight of step v -> u)
     incoming = [[(j, edge_weight(w, tree, ball[j], u)) for j in nbrs] for u, nbrs in zip(ball, adj)]
     zero = 0 if w.mode == "unit" else 0.0 if w.mode == "srw" else 0 * w.delta

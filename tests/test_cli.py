@@ -168,11 +168,13 @@ def test_sample_sphere_growth_bound_radius(capsys):
 
 
 def test_sample_sphere_node_budget(capsys):
-    # 10-regular offspring: |S_8| = 47,829,690, past the budget after generation 7
-    code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "10:1", "--samples", "1",
-                           "--stat", "sphere", "--r", "8")
-    assert code == 2
-    assert "budget" in err
+    # 10-regular offspring: the depth-7 tree has 5,978,711 vertices, past the budget of 1e6
+    # once its last generation is counted, as for --stat walks --k 7; |S_8| = 47,829,690
+    for r in ("7", "8"):
+        code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "10:1", "--samples", "1",
+                               "--stat", "sphere", "--r", r)
+        assert code == 2, r
+        assert "budget" in err
 
 
 def test_sample_bad_pi(capsys):
@@ -317,11 +319,21 @@ def test_report_cover_series(capsys, tmp_path):
     code, out, err = run_cli(capsys, "report", "--gen", "random_regular:30:3", "--radius", "25")
     assert code == 0, err
     assert len(json.loads(out)["rho_cover_estimate"]["values"]) == 25
-    path = tmp_path / "two_triangles.edges"
-    path.write_text("n 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
-    code, _, err = run_cli(capsys, "report", "--input", str(path))
-    assert code == 2
-    assert "universal cover requires a connected graph" in err
+    # and cover counts that ball without building it
+    code, out, err = run_cli(capsys, "cover", "--gen", "random_regular:30:3", "--radius", "25")
+    assert code == 0, err
+    assert json.loads(out)["ball"] == {"vertices": 100_663_294, "radius": 25}
+    for name, text, message in (
+            ("two_triangles", "n 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n", "requires a connected graph"),
+            ("empty", "", "requires a nonempty graph")):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(text)
+        for argv in (["report"], ["cover", "--radius", "3"]):
+            code, _, err = run_cli(capsys, *argv, "--input", str(path))
+            assert code == 2, argv
+            assert f"universal cover {message}" in err, argv
+    # a census of no roots is still a census
+    assert run_cli(capsys, "census", "--input", str(path), "--radius", "1")[0] == 0
 
 
 def test_budget_violation_exit_2(capsys, monkeypatch):

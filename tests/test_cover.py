@@ -8,6 +8,7 @@ from unispec import (
     adjacency_spectrum,
     canonical_rooted_code,
     closed_walk_counts,
+    cover_ball_size,
     cover_walk_counts,
     cover_walk_rows,
     generate,
@@ -154,12 +155,14 @@ ROW_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(ROW_GRAPHS))
 def test_cover_walk_rows_match_materialized_cover(name):
-    # the branch-series recursion against walk iteration on the materialized ball
+    # the branch-series recursion and the ball-size recursion against the materialized ball
     g = ROW_GRAPHS[name]
     for k in range(7):
         rows = cover_walk_rows(g, k)
         for x in range(g.vertex_count):
-            assert rows[x] == list(cover_walk_counts(universal_cover_ball(g, x, k), k).counts[::2])
+            ball = universal_cover_ball(g, x, k)
+            assert rows[x] == list(cover_walk_counts(ball, k).counts[::2])
+            assert cover_ball_size(g, x, k) == ball.tree.vertex_count
 
 
 def test_cover_walk_rows_budget(monkeypatch):

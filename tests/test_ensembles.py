@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from unispec import ensembles, graph, walks
 from unispec import (
     DegreeDistribution,
     GraphInputError,
@@ -118,6 +119,47 @@ def test_walk_moment_matches_walk_iteration():
         counts = [float(closed_walk_counts(t.graph, t.root, 2 * k, budget=2 * k).counts[2 * k])
                   for t in trees]
         assert est.mean == float(np.asarray(counts).mean())
+
+
+def test_walk_moment_builds_no_graph(monkeypatch):
+    # the counts of the grower go straight to branch_series: no Graph, no BFS
+    expected = estimate_walk_moment(UNIFORM_23, 4, samples=30, seed=8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("estimate_walk_moment built a graph or ran a BFS")
+
+    monkeypatch.setattr(ensembles, "build_graph", forbidden)
+    monkeypatch.setattr(graph, "bfs_distances", forbidden)
+    monkeypatch.setattr(walks, "bfs_distances", forbidden)
+    assert estimate_walk_moment(UNIFORM_23, 4, samples=30, seed=8) == expected
+
+
+def test_negative_depth_rejected():
+    with pytest.raises(GraphInputError, match="depth must be nonnegative"):
+        sample_ugw(UNIFORM_23, -1, 0)
+    with pytest.raises(GraphInputError, match="depth must be nonnegative"):
+        estimate_walk_moment(UNIFORM_23, -1, samples=3, seed=0)
+
+
+@pytest.mark.parametrize("pi,r", [(UNIFORM_23, 3), (DELTA_2, 4),
+                                  (DegreeDistribution.from_string("1:0.5,3:0.5",
+                                                                  allow_leaves=True), 4)])
+def test_sphere_samples_match_sampled_trees(monkeypatch, pi, r):
+    # sample i of the sphere estimate is |S_r| of the tree sample_ugw draws from (seed, i)
+    seen = []
+    aggregate = ensembles._aggregate
+
+    def recording(values, *rest):
+        seen.append(list(values))
+        return aggregate(values, *rest)
+
+    monkeypatch.setattr(ensembles, "_aggregate", recording)
+    estimate_sphere(pi, r, samples=40, seed=21)
+    spheres = []
+    for i in range(40):
+        tree = sample_ugw(pi, r, (21, i))
+        spheres.append(float(bfs_distances(tree.graph, tree.root).count(r)))
+    assert seen == [spheres]
 
 
 def test_sphere_point_masses():
