@@ -56,17 +56,13 @@ from .cover import (
     verify_lifting,
 )
 from .nbw import (
-    BUILTIN_TRANSPORTS,
     EdgeRootedLaw,
     NBWKernel,
     NBWSimulation,
     NBWTrajectory,
     StationarityReport,
     degree_biased_edge_law,
-    degree_transport,
-    distance_window_transport,
     edge_root_law,
-    mtp_check,
     nbw_entropy,
     nbw_entropy_rate,
     nbw_transition,

@@ -80,8 +80,11 @@ def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _dump_json(payload: dict) -> str:
@@ -515,6 +518,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(cfg, name)
         if value is not None and value < (radius_min if name == "radius" else 1):
             raise GraphInputError(f"--{name} must be positive, got {value}")
+    if cfg.seed < 0:
+        raise GraphInputError(f"--seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import BudgetError, Graph, GraphInputError, build_graph
 from .walks import WalkCountTable, branch_series, closed_walk_counts
@@ -124,7 +124,7 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
     return closed_walk_counts(cb.tree, cb.root, 2 * kmax, budget=2 * kmax)
 
 
-def _cover_branches(g: Graph, order: int) -> list[list[int]]:
+def _cover_branches(g: Graph, order: int) -> list[Sequence[int]]:
     """Successors of the cover's branches: directed edge (u, v) is the subtree entered from u
     at v, over the steps (v, w), w != u; then one root branch per vertex x, over every (x, y).
     Series to z^order on these 2m + n branches count against the node budget."""
@@ -136,9 +136,9 @@ def _cover_branches(g: Graph, order: int) -> list[list[int]]:
     stored = (2 * g.edge_count + g.vertex_count) * (order + 1)
     if stored > budget:
         raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
-    index = {e: i for i, e in enumerate(g.directed_edges())}
-    succ = [[index[(v, w)] for w in g.adjacency[v] if w != u] for u, v in index]
-    return succ + [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
+    index = g.edge_index
+    roots = [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
+    return [*g.nb_successors, *roots]
 
 
 def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
@@ -195,5 +195,7 @@ def rho_cover_estimate(rows: list[list[int]]) -> list[float]:
         raise GraphInputError(f"kmax must be >= 1, got {kmax}")
     n = len(rows)
     sums = [sum(column) for column in zip(*rows)]
-    # math.log accepts arbitrarily large ints, so no float overflow on the way
-    return [math.exp((math.log(sums[k]) - math.log(n)) / (2 * k)) for k in range(1, kmax + 1)]
+    # math.log accepts arbitrarily large ints, so no float overflow on the way; a cover
+    # with no edges (one isolated vertex) has no closed walk of positive length
+    return [math.exp((math.log(sums[k]) - math.log(n)) / (2 * k)) if sums[k] else 0.0
+            for k in range(1, kmax + 1)]

@@ -347,8 +347,7 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     iterative-refinement hash, flagged non-exact, which can in principle
     collide for refinement-equivalent non-isomorphic balls.
     """
-    adj, local_root, ball, dist = _ball_adjacency(g, root, radius)
-    init = [dist[v] for v in ball]  # root alone at distance 0
+    adj, _, init = _ball_adjacency(g, root, radius)  # colored by distance: the root alone at 0
     if len(adj) <= EXACT_CANON_LIMIT:
         try:
             n, edges = _min_code(adj, init, [CANON_SEARCH_CAP])
@@ -357,7 +356,7 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
         except _CanonBudget:
             pass
     colors = _refine(adj, init)
-    payload = repr((len(adj), colors[local_root],
+    payload = repr((len(adj), colors[0],
                     sorted((colors[v], tuple(sorted(colors[u] for u in adj[v])))
                            for v in range(len(adj)))))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -66,9 +66,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     @cached_property
     def min_degree(self) -> int:
         return min((len(n) for n in self.adjacency), default=0)
@@ -84,6 +81,18 @@ class Graph:
     def directed_edges(self) -> list[DirectedEdge]:
         """All 2m directed edges in lexicographic order."""
         return [DirectedEdge(u, v) for u in range(self.vertex_count) for v in self.adjacency[u]]
+
+    @cached_property
+    def edge_index(self) -> dict[DirectedEdge, int]:
+        """Position of each directed edge in ``directed_edges()``; iterates in that order."""
+        return {e: i for i, e in enumerate(self.directed_edges())}
+
+    @cached_property
+    def nb_successors(self) -> tuple[tuple[int, ...], ...]:
+        """Non-backtracking successors by edge position: (u, v) -> (v, w) for w ~ v, w != u,
+        in the order of ``adjacency[v]``. Shared by the NBW statistics and the cover series."""
+        index = self.edge_index
+        return tuple(tuple([index[(v, w)] for w in self.adjacency[v] if w != u]) for u, v in index)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
@@ -105,42 +114,29 @@ class Graph:
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count == self.vertex_count - 1
 
-    def is_bipartite(self) -> bool:
-        n = self.vertex_count
-        side = [-1] * n
-        for s in range(n):
-            if side[s] >= 0:
-                continue
-            side[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if side[v] < 0:
-                        side[v] = side[u] ^ 1
-                        queue.append(v)
-                    elif side[v] == side[u]:
-                        return False
-        return True
-
 
 def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
     """BFS distances from ``source``; -1 marks unreachable vertices.
 
     ``limit`` stops the search beyond that radius (farther vertices stay -1).
     """
+    return _bfs(g, source, limit)[1]
+
+
+def _bfs(g: Graph, source: int, limit: int | None) -> tuple[list[int], list[int]]:
+    """The vertices within ``limit`` of ``source`` in BFS order, so each distance layer is
+    one contiguous block, and the distances of ``bfs_distances``."""
     dist = [-1] * g.vertex_count
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    order = [source]
+    for u in order:  # the list grows behind the cursor: it is the BFS queue
         if limit is not None and dist[u] >= limit:
             continue
         for v in g.adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+                order.append(v)
+    return order, dist
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]], n: int) -> Graph:

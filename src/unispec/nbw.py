@@ -1,4 +1,4 @@
-"""Non-backtracking walks on leafless graphs and Mass-Transport checks.
+"""Non-backtracking walks on leafless graphs.
 
 A finite graph rooted at a uniform random vertex is the canonical unimodular
 network; rooting at a uniform random directed edge gives the stationary law of
@@ -11,24 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import DegreeStats, DirectedEdge, Graph, GraphInputError, bfs_distances
+from .graph import DegreeStats, DirectedEdge, Graph, GraphInputError
 
 __all__ = [
-    "BUILTIN_TRANSPORTS",
     "EdgeRootedLaw",
     "NBWKernel",
     "NBWSimulation",
     "NBWTrajectory",
     "StationarityReport",
     "degree_biased_edge_law",
-    "degree_transport",
-    "distance_window_transport",
     "edge_root_law",
-    "mtp_check",
     "nbw_entropy",
     "nbw_entropy_rate",
     "nbw_transition",
@@ -69,9 +65,6 @@ class EdgeRootedLaw:
         if any(p < 0 for p in self.probabilities):
             raise ValueError("probabilities must be nonnegative")
 
-    def as_dict(self) -> dict[DirectedEdge, Fraction]:
-        return dict(zip(self.graph.directed_edges(), self.probabilities))
-
 
 def edge_root_law(g: Graph) -> EdgeRootedLaw:
     """Uniform law 1/2m on every directed edge."""
@@ -107,28 +100,18 @@ class NBWKernel:
     matrix: np.ndarray
 
 
-def _successors(g: Graph) -> tuple[list[DirectedEdge], dict[DirectedEdge, int], list[list[int]]]:
-    edges = g.directed_edges()
-    index = {e: i for i, e in enumerate(edges)}
-    succ = [
-        [index[DirectedEdge(e.head, z)] for z in g.adjacency[e.head] if z != e.tail]
-        for e in edges
-    ]
-    return edges, index, succ
-
-
 def nbw_transition(g: Graph) -> NBWKernel:
     """Dense 2m x 2m kernel: the oracle of ``test_stationarity_matches_dense_kernel``
     and ``test_entropy_matches_kernel_rate``. The CLI does not build it."""
     _require_leafless(g)
-    edges, _, succ = _successors(g)
-    size = len(edges)
+    succ = g.nb_successors
+    size = len(succ)
     m = np.zeros((size, size), dtype=np.float64)
     for i, targets in enumerate(succ):
         w = 1.0 / len(targets)
         for j in targets:
             m[i, j] = w
-    return NBWKernel(tuple(edges), m)
+    return NBWKernel(tuple(g.edge_index), m)
 
 
 class StationarityReport(NamedTuple):
@@ -144,11 +127,11 @@ def stationarity_check(g: Graph) -> StationarityReport:
     kernel matrix, so it stays usable on graphs where 2m x 2m is large.
     """
     _require_leafless(g)
-    edges, index, succ = _successors(g)
-    size = len(edges)
+    index, succ = g.edge_index, g.nb_successors
+    size = len(succ)
     u = 1.0 / size
     acc = [0.0] * size
-    rev = [index[e.reverse()] for e in edges]
+    rev = [index[e.reverse()] for e in index]
     rev_dev = 0.0
     for i, targets in enumerate(succ):
         w = u / len(targets)
@@ -172,66 +155,13 @@ def nbw_entropy_rate(g: Graph) -> float:
     """Entropy rate (nats) of the kernel's rows averaged under the uniform edge
     law, read from the successor lists; equals ``nbw_entropy`` up to roundoff."""
     _require_leafless(g)
-    edges, _, succ = _successors(g)
-    p = 1.0 / len(edges)
+    succ = g.nb_successors
+    p = 1.0 / len(succ)
     rate = 0.0
     for targets in succ:
         w = 1.0 / len(targets)
         rate += p * -sum(w * math.log(w) for _ in targets)
     return rate
-
-
-# ----------------------------------------------------------------------------
-# Mass-Transport Principle
-# ----------------------------------------------------------------------------
-
-
-def mtp_check(g: Graph, f: Callable[[Graph, int, int], object]) -> tuple:
-    """Evaluate both sides of the Mass-Transport identity.
-
-    lhs = (1/n) sum_x sum_y f(x, y) is the mass the root sends, rhs the mass it
-    receives. For a finite graph with a uniform root the two double sums are
-    the same sum reindexed, so equality holds for any deterministic f and is
-    exact whenever f returns exact numbers (ints or Fractions). It cannot
-    detect a wrong f, so the CLI does not run it; it stays for library use and
-    acceptance criterion 5 (``test_05_mass_transport_exact``).
-    """
-    n = g.vertex_count
-    if n == 0:
-        raise GraphInputError("mtp_check needs at least one vertex")
-    lhs = sum(f(g, x, y) for x in range(n) for y in range(n))
-    rhs = sum(f(g, y, x) for x in range(n) for y in range(n))
-    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
-        return Fraction(lhs, n), Fraction(rhs, n)
-    return lhs / n, rhs / n
-
-
-def degree_transport(h: Callable[[int, int], object]) -> Callable[[Graph, int, int], object]:
-    """Transport f(x, y) = 1[x ~ y] * h(deg x, deg y)."""
-
-    def f(g: Graph, x: int, y: int):
-        return h(g.degree(x), g.degree(y)) if g.has_edge(x, y) else 0
-
-    return f
-
-
-def distance_window_transport(lo: int, hi: int) -> Callable[[Graph, int, int], object]:
-    """Transport f(x, y) = 1[lo <= dist(x, y) <= hi]."""
-
-    def f(g: Graph, x: int, y: int):
-        d = bfs_distances(g, x, limit=hi)[y]
-        return 1 if 0 <= d and lo <= d <= hi else 0
-
-    return f
-
-
-BUILTIN_TRANSPORTS: Mapping[str, Callable[[Graph, int, int], object]] = {
-    "adjacency": degree_transport(lambda dx, dy: 1),
-    "head_degree": degree_transport(lambda dx, dy: dy),
-    "degree_product": degree_transport(lambda dx, dy: dx * dy * dy),
-    "srw_step": degree_transport(lambda dx, dy: Fraction(1, dx)),
-    "distance_two": distance_window_transport(2, 2),
-}
 
 
 # ----------------------------------------------------------------------------
@@ -266,7 +196,8 @@ def simulate_nbw(
     _require_leafless(g)
     if steps < 0:
         raise GraphInputError(f"steps must be nonnegative, got {steps}")
-    edges, index, succ = _successors(g)
+    index, succ = g.edge_index, g.nb_successors
+    edges = list(index)
     rng = np.random.default_rng(seed)
     if start is None:
         cur = int(rng.integers(len(edges)))

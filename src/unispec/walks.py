@@ -11,12 +11,13 @@ numbers and to non-backtracking-walk entropy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .graph import BudgetError, DirectedEdge, Graph, GraphInputError, bfs_distances
+from .graph import BudgetError, DirectedEdge, Graph, GraphInputError, _bfs, bfs_distances
 
 __all__ = [
     "DYCK_ENUM_LIMIT",
@@ -56,14 +57,14 @@ class WalkCountTable:
         return len(self.counts) - 1
 
 
-def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], int, list, list]:
-    """B_radius(root) as local adjacency lists, the root's local index, its vertices in
-    increasing order, and the BFS distances from the root (by vertex of g, -1 outside)."""
-    dist = bfs_distances(g, root, limit=radius)
-    ball = [v for v in range(g.vertex_count) if 0 <= dist[v] <= radius]
+def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], list, list]:
+    """B_radius(root) as local adjacency lists, its vertices in BFS order (the root is local
+    vertex 0 and each distance layer is one contiguous block), and their distances from the
+    root, a nondecreasing list."""
+    ball, dist = _bfs(g, root, radius)
     local = {v: i for i, v in enumerate(ball)}
     adj = [[local[w] for w in g.adjacency[v] if w in local] for v in ball]
-    return adj, local[root], ball, dist
+    return adj, ball, [dist[v] for v in ball]
 
 
 def closed_walk_counts(
@@ -72,20 +73,25 @@ def closed_walk_counts(
     """Exact (A^k)_{root,root} for k = 0..kmax by integer vector iteration.
 
     A closed walk of length k stays within distance floor(k/2) of its start,
-    so the iteration runs on the ball of radius floor(kmax/2) only. Counts are
-    Python integers, so growth like max_degree^k never overflows.
+    so the iteration runs on the ball of radius floor(kmax/2) only. Step t
+    updates only the vertices within min(t, kmax - t) of the root, a prefix of
+    the BFS-ordered ball: farther ones are not reached by step t (their entries
+    stay 0) or cannot get back by step kmax (their entries are never read
+    again). Counts are Python integers, so growth like max_degree^k never
+    overflows.
     """
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     if budget is not None and kmax > budget:
         raise BudgetError(f"kmax={kmax} exceeds walk budget {budget}")
-    adj, start, _, _ = _ball_adjacency(g, root, kmax // 2)
+    adj, _, depth = _ball_adjacency(g, root, kmax // 2)
     vec = [0] * len(adj)
-    vec[start] = 1
+    vec[0] = 1
     counts = [1]
-    for _ in range(kmax):
-        vec = [sum(map(vec.__getitem__, nbrs)) for nbrs in adj]
-        counts.append(vec[start])
+    for t in range(1, kmax + 1):
+        window = bisect_right(depth, min(t, kmax - t))
+        vec[:window] = [sum(map(vec.__getitem__, nbrs)) for nbrs in adj[:window]]
+        counts.append(vec[0])
     return WalkCountTable(root, tuple(counts))
 
 
@@ -117,15 +123,15 @@ def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:
         raise GraphInputError("srw_return_probs undefined with an isolated vertex")
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, start, ball, _ = _ball_adjacency(g, root, kmax // 2)
+    adj, ball, _ = _ball_adjacency(g, root, kmax // 2)
     inv_deg = [1.0 / g.degree(v) for v in ball]
     vec = [0.0] * len(ball)
-    vec[start] = 1.0
+    vec[0] = 1.0
     probs = [1.0]
     for _ in range(kmax):
         scaled = [x * p for x, p in zip(vec, inv_deg)]
         vec = [sum(map(scaled.__getitem__, nbrs)) for nbrs in adj]
-        probs.append(vec[start])
+        probs.append(vec[0])
     return probs
 
 
@@ -160,12 +166,6 @@ class DyckPath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def heights(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
 
 
 def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
@@ -337,17 +337,17 @@ def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> lis
     _check_tree(tree)
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, start, ball, _ = _ball_adjacency(tree, root, kmax)
+    adj, ball, _ = _ball_adjacency(tree, root, kmax)
     # incoming[u] lists (v_local, weight of step v -> u)
     incoming = [[(j, edge_weight(w, tree, ball[j], u)) for j in nbrs] for u, nbrs in zip(ball, adj)]
     zero = 0 if w.mode == "unit" else 0.0 if w.mode == "srw" else 0 * w.delta
     vec = [zero] * len(ball)
-    vec[start] = zero + 1
+    vec[0] = zero + 1
     totals = [zero + 1]
     for step in range(1, 2 * kmax + 1):
         vec = [sum((vec[j] * wt for j, wt in inc), zero) for inc in incoming]
         if step % 2 == 0:
-            totals.append(vec[start])
+            totals.append(vec[0])
     return totals
 
 

@@ -26,8 +26,8 @@ from unispec import (
     hoory_bound,
     markov_spectrum,
     moment,
-    mtp_check,
     regular_tree_walks,
+    sample_ugw,
     sigma,
     sphere_growth_bounds,
     srw_return_probs,
@@ -40,7 +40,6 @@ from unispec import (
     universal_cover_ball,
     walk_identity_check,
 )
-from unispec.nbw import BUILTIN_TRANSPORTS
 
 from fixture_graphs import (
     FIXTURES,
@@ -97,12 +96,32 @@ def test_04_nbw_stationarity_and_reversal():
             stationarity_check(FIXTURES[name])
 
 
-def test_05_mass_transport_exact():
-    assert len(BUILTIN_TRANSPORTS) == 5
-    for name, g in FIXTURES.items():
-        for transport in BUILTIN_TRANSPORTS.values():
-            lhs, rhs = mtp_check(g, transport)
-            assert lhs == rhs
+def _root_neighbour_degrees(pi, samples, seed):
+    """Mean and stderr of sum_{y ~ root} deg y over UGW trees of depth 2."""
+    values = []
+    for i in range(samples):
+        tree = sample_ugw(pi, 2, (seed, i))
+        values.append(sum(tree.graph.degree(y) for y in tree.graph.adjacency[tree.root]))
+    return np.mean(values), np.std(values, ddof=1) / math.sqrt(samples)
+
+
+def test_05_ugw_mass_transport(monkeypatch):
+    # Mass transport f(x, y) = 1[x ~ y] deg y: the root receives sum_{y ~ o} deg y and sends
+    # deg(o)^2, so a unimodular tree has E[sum_{y ~ o} deg y] = E[D^2]. That needs size-biased
+    # offspring below the root; offspring drawn from pi shifted by one give E[D]^2 < E[D^2].
+    laws = [DegreeDistribution.from_string(text) for text in ("2:0.5,3:0.5", "2:0.5,5:0.5")]
+    seed, samples = 5, 2000
+    for pi in laws:
+        mean, stderr = _root_neighbour_degrees(pi, samples, seed)
+        assert abs(mean - pi.mean_d2) <= 3 * stderr, (pi, mean)
+
+    def unbiased(self):
+        return tuple((d - 1, p) for d, p in zip(self.support, self.probabilities))
+
+    monkeypatch.setattr(DegreeDistribution, "size_biased_offspring", unbiased)
+    for pi in laws:
+        mean, stderr = _root_neighbour_degrees(pi, samples, seed)
+        assert mean < pi.mean_d2 - 3 * stderr, (pi, mean)
 
 
 def test_06_walk_identity_on_random_trees():

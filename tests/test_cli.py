@@ -198,9 +198,16 @@ def test_report_combined(capsys):
     report = json.loads(out)
     assert report["all_checks_pass"] is True
     assert len(report["rho_cover_estimate"]["values"]) == 3
+    # the cover of one isolated vertex has no closed walk of positive length
+    code, out, err = run_cli(capsys, "report", "--gen", "complete:1")
+    assert code == 0, err
+    assert json.loads(out)["rho_cover_estimate"]["values"] == [0.0] * 4
+    code, out, err = run_cli(capsys, "cover", "--gen", "complete:1", "--radius", "2")
+    assert code == 0, err
+    assert json.loads(out)["rho_estimate"]["values"] == [0.0, 0.0]
 
 
-def test_unknown_flags_exit_2(capsys):
+def test_unknown_flags_exit_2(capsys, tmp_path):
     assert run_cli(capsys, "analyze", "--nonsense")[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "analyze", "--gen", "cycle:5", "--threads", "2")[0] == 2
@@ -225,6 +232,12 @@ def test_unknown_flags_exit_2(capsys):
                  walks + ["--format", "csv"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in err, argv
+    # values the parser accepts but the command cannot use name the flag or the path
+    code, _, err = run_cli(capsys, "analyze", "--gen", "cycle:5", "--seed", "-1")
+    assert code == 2 and "--seed must be nonnegative" in err
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "cover", "--gen", "cycle:5", "--radius", "2", "--out", str(out))
+    assert code == 2 and err.startswith(f"error: cannot write {out}: "), err
 
 
 def test_sample_rejects_flag_of_other_stat(capsys):
@@ -251,11 +264,6 @@ def _count_solves(monkeypatch):
         raise AssertionError("dense NBW kernel built")
 
     monkeypatch.setattr(nbw, "nbw_transition", no_kernel)
-
-    def no_mtp(*args, **kwargs):
-        raise AssertionError("finite-graph MTP sums run")
-
-    monkeypatch.setattr(nbw, "mtp_check", no_mtp)
     return calls
 
 

@@ -5,23 +5,19 @@ import numpy as np
 import pytest
 
 from unispec import (
-    BUILTIN_TRANSPORTS,
     DirectedEdge,
+    Graph,
     GraphInputError,
     build_graph,
     degree_biased_edge_law,
     degree_stats,
-    degree_transport,
-    distance_window_transport,
     edge_root_law,
-    mtp_check,
     nbw_entropy,
     nbw_entropy_rate,
     nbw_transition,
     simulate_nbw,
     stationarity_check,
 )
-from unispec import nbw
 
 from fixture_graphs import FIXTURES, LEAFLESS, star
 
@@ -86,17 +82,12 @@ def test_stationarity_chorded():
 
 
 def test_reversal_detects_redirected_successor(monkeypatch):
-    original = nbw._successors
-
-    def redirected(g):
-        edges, index, succ = original(g)
-        # send edge 0 to a successor of one of its successors instead
-        succ[0] = [succ[succ[0][0]][0]] + succ[0][1:]
-        return edges, index, succ
-
     g = FIXTURES["petersen"]
     assert stationarity_check(g).reversal_deviation == 0.0
-    monkeypatch.setattr(nbw, "_successors", redirected)
+    succ = [list(targets) for targets in g.nb_successors]
+    # send edge 0 to a successor of one of its successors instead
+    succ[0] = [succ[succ[0][0]][0]] + succ[0][1:]
+    monkeypatch.setattr(Graph, "nb_successors", property(lambda self: succ))
     assert stationarity_check(g).reversal_deviation > 0
 
 
@@ -134,35 +125,6 @@ def test_entropy_matches_kernel_rate(name):
         rate += float(p) * -sum(x * math.log(x) for x in row if x > 0)
     assert abs(rate - nbw_entropy(degree_stats(g))) <= 1e-12
     assert nbw_entropy_rate(g) == rate
-
-
-def test_mtp_adjacency_is_average_degree():
-    g = FIXTURES["c4_chord"]
-    lhs, rhs = mtp_check(g, BUILTIN_TRANSPORTS["adjacency"])
-    assert lhs == rhs == Fraction(2 * g.edge_count, g.vertex_count)
-
-
-def test_mtp_head_degree_c4():
-    lhs, rhs = mtp_check(FIXTURES["c4"], BUILTIN_TRANSPORTS["head_degree"])
-    assert lhs == rhs == 4
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize("transport", sorted(BUILTIN_TRANSPORTS))
-def test_mtp_exact_on_all_fixtures(name, transport):
-    lhs, rhs = mtp_check(FIXTURES[name], BUILTIN_TRANSPORTS[transport])
-    assert lhs == rhs
-    assert isinstance(lhs, Fraction)
-
-
-def test_mtp_custom_transports():
-    g = FIXTURES["chorded8"]  # asymmetric degrees
-    f = degree_transport(lambda dx, dy: dx * dy * dy)
-    lhs, rhs = mtp_check(g, f)
-    assert lhs == rhs
-    window = distance_window_transport(1, 3)
-    lhs, rhs = mtp_check(g, window)
-    assert lhs == rhs
 
 
 def test_simulate_c4_rotation():
