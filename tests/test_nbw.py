@@ -8,6 +8,7 @@ from unispec import (
     DirectedEdge,
     Graph,
     GraphInputError,
+    bfs_distances,
     build_graph,
     degree_biased_edge_law,
     degree_stats,
@@ -125,6 +126,55 @@ def test_entropy_matches_kernel_rate(name):
         rate += float(p) * -sum(x * math.log(x) for x in row if x > 0)
     assert abs(rate - nbw_entropy(degree_stats(g))) <= 1e-12
     assert nbw_entropy_rate(g) == rate
+
+
+# Mass transport on a finite graph with a uniform root: x sends h(deg x, deg y) to every y at
+# distance r. The mass the root sends is summed over its own BFS sphere, the mass it receives
+# over the receiver's, and both against the adjacency matrix, so the sides agree only when BFS
+# spheres match the adjacency and are symmetric. The transport identity that tests the
+# unimodular law itself, size-biased UGW offspring, is acceptance criterion 05.
+TRANSPORTS = {
+    "adjacency": (1, lambda dx, dy: 1),
+    "head_degree": (1, lambda dx, dy: dy),
+    "degree_product": (1, lambda dx, dy: dx * dy * dy),
+    "srw_step": (1, lambda dx, dy: Fraction(1, dx)),
+    "distance_two": (2, lambda dx, dy: 1),
+}
+
+
+def _mtp_sides(g, transport):
+    """Mean mass sent, mean mass received and the adjacency-matrix sum, as Fractions."""
+    r, h = TRANSPORTS[transport]
+    n = g.vertex_count
+    deg = [g.degree(v) for v in range(n)]
+    spheres = [[y for y, d in enumerate(bfs_distances(g, x, limit=r)) if d == r] for x in range(n)]
+    sent = sum(h(deg[x], deg[y]) for x in range(n) for y in spheres[x])
+    received = sum(h(deg[x], deg[y]) for y in range(n) for x in spheres[y])
+    a = g.adjacency_matrix(dtype=np.int64)
+    at_r = a > 0 if r == 1 else (a @ a > 0) & (a == 0) & ~np.eye(n, dtype=bool)
+    direct = sum(h(deg[x], deg[y]) for x, y in zip(*np.nonzero(at_r)))
+    return Fraction(sent, n), Fraction(received, n), Fraction(direct, n)
+
+
+def test_mtp_adjacency_is_average_degree():
+    g = FIXTURES["c4_chord"]
+    lhs, rhs, direct = _mtp_sides(g, "adjacency")
+    assert lhs == rhs == direct == Fraction(2 * g.edge_count, g.vertex_count)
+
+
+def test_mtp_head_degree_c4():
+    assert _mtp_sides(FIXTURES["c4"], "head_degree") == (4, 4, 4)
+    lopsided = Graph(((1, 2, 3), (0, 2), (0, 1, 3), (0,)))  # 2 lists 3, 3 does not list 2
+    lhs, rhs, _ = _mtp_sides(lopsided, "head_degree")
+    assert (lhs, rhs) == (Fraction(21, 4), Fraction(23, 4))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_mtp_exact_on_all_fixtures(name, transport):
+    lhs, rhs, direct = _mtp_sides(FIXTURES[name], transport)
+    assert lhs == rhs == direct
+    assert isinstance(lhs, Fraction)
 
 
 def test_simulate_c4_rotation():
