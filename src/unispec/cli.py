@@ -9,6 +9,8 @@ error or failed verification, 2 validation error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -351,11 +353,8 @@ def _cmd_cover(cfg: RunConfig) -> int:
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
-    if cfg.pi is None:
-        raise GraphInputError("sample ugw requires --pi degree:probability pairs")
     pi = ensembles.DegreeDistribution.from_string(cfg.pi)
-    stat = cfg.stat or "walks"
-    samples = cfg.samples if cfg.samples is not None else 1000
+    stat = cfg.stat
     r = cfg.r if cfg.r is not None else 3
     exact: float | None = None
     unread = "r" if stat == "walks" else "k"
@@ -364,13 +363,11 @@ def _cmd_sample(cfg: RunConfig) -> int:
     if stat == "walks":
         if cfg.k is None:
             raise GraphInputError("--stat walks requires --k")
-        est = ensembles.estimate_walk_moment(pi, cfg.k, samples, cfg.seed)
+        est = ensembles.estimate_walk_moment(pi, cfg.k, cfg.samples, cfg.seed)
         if pi.is_point_mass():
             exact = float(ensembles.regular_tree_walks(pi.support[0], cfg.k)[cfg.k])
-    elif stat == "sphere":
-        est, exact = ensembles.estimate_sphere(pi, r, samples, cfg.seed)
     else:
-        raise GraphInputError(f"unknown --stat {stat!r}; expected walks or sphere")
+        est, exact = ensembles.estimate_sphere(pi, r, cfg.samples, cfg.seed)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.sample.v1",
         "config": cfg.to_dict(),
@@ -409,17 +406,15 @@ def _cmd_census(cfg: RunConfig) -> int:
         "exact": census.exact,
         "classes": [{"code": code, "count": count} for code, count in classes],
     }
-    csv_text = "".join(f"{code},{count}\n" for code, count in classes)
-    _write_report(payload, cfg, csv_text=csv_text)
+    buffer = io.StringIO()  # the csv module quotes codes that contain commas
+    csv.writer(buffer, lineterminator="\n").writerows(classes)
+    _write_report(payload, cfg, csv_text=buffer.getvalue())
     return 0
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     g = _resolve_graph(cfg)
-    suite = cfg.suite or "all"
-    if suite not in SUITES:
-        raise GraphInputError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    rows = _run_suites(g, suite, cfg.kmax if cfg.kmax is not None else 4)
+    rows = _run_suites(g, cfg.suite, cfg.kmax if cfg.kmax is not None else 4)
     failed = 0
     for row in rows:
         status = "PASS" if row["pass"] else "FAIL"
@@ -520,6 +515,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise GraphInputError(f"--{name} must be positive, got {value}")
     if cfg.seed < 0:
         raise GraphInputError(f"--seed must be nonnegative, got {cfg.seed}")
+    if cfg.pretty and cfg.format == "csv":
+        raise GraphInputError("--pretty renders JSON; it cannot be combined with --format csv")
     return cfg
 
 

@@ -66,10 +66,12 @@ class DegreeDistribution:
             raise GraphInputError("support must be strictly increasing degrees")
         if any(d < 1 for d in self.support):
             raise GraphInputError("degrees must be >= 1")
-        if any(p <= 0 for p in self.probabilities):
-            raise GraphInputError("probabilities must be positive (drop zero atoms)")
-        if abs(float(sum(self.probabilities)) - 1.0) > 1e-12:
-            raise GraphInputError(f"probabilities sum to {float(sum(self.probabilities))}")
+        for d, p in zip(self.support, self.probabilities):
+            if not 0 < p <= 1:
+                raise GraphInputError(f"probability of degree {d} is not in (0, 1]; drop zero atoms")
+        total = sum(map(Fraction, self.probabilities))  # exact, so no float can overflow
+        if abs(total - 1) > 1e-12:
+            raise GraphInputError(f"probabilities sum to {float(total)}")
 
     @classmethod
     def build(cls, pairs, allow_leaves: bool = False) -> "DegreeDistribution":
@@ -315,9 +317,11 @@ def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple:
     return (len(adj), tuple(edges))
 
 
-def _min_code(adj: list[list[int]], colors: list[int], budget: list[int]) -> tuple:
+def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: bool) -> tuple:
     # budget counts search nodes, so walls of equal-code branches on highly
-    # symmetric balls cannot stall the census; exhaustion degrades to hashing
+    # symmetric balls cannot stall the census; exhaustion degrades to hashing.
+    # On a coloured tree the stable cells are automorphism orbits (a tree is its
+    # own unfolding), so every branch gives the same code and one is searched
     budget[0] -= 1
     if budget[0] < 0:
         raise _CanonBudget
@@ -328,12 +332,12 @@ def _min_code(adj: list[list[int]], colors: list[int], budget: list[int]) -> tup
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    target = min(c for c, vs in by_color.items() if len(vs) > 1)
+    cell = by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
     best = None
-    for v in by_color[target]:
+    for v in cell[:1] if tree else cell:
         child = list(colors)
         child[v] = n  # fresh color, larger than any refined id
-        code = _min_code(adj, child, budget)
+        code = _min_code(adj, child, budget, tree)
         if best is None or code < best:
             best = code
     return best
@@ -343,14 +347,16 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     """Canonical code of the rooted ball B_radius(g, root).
 
     Exact canonical form (minimum code over refinement-individualized
-    orderings) up to ``EXACT_CANON_LIMIT`` vertices; larger balls fall back to an
-    iterative-refinement hash, flagged non-exact, which can in principle
-    collide for refinement-equivalent non-isomorphic balls.
+    orderings) up to ``EXACT_CANON_LIMIT`` vertices; a tree ball takes one branch
+    per search level, so only cyclic balls can exhaust ``CANON_SEARCH_CAP``. Larger
+    or exhausted balls fall back to an iterative-refinement hash, flagged non-exact,
+    which can in principle collide for refinement-equivalent non-isomorphic balls.
     """
     adj, _, init = _ball_adjacency(g, root, radius)  # colored by distance: the root alone at 0
     if len(adj) <= EXACT_CANON_LIMIT:
         try:
-            n, edges = _min_code(adj, init, [CANON_SEARCH_CAP])
+            tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected
+            n, edges = _min_code(adj, init, [CANON_SEARCH_CAP], tree)
             body = ",".join(f"{u}-{v}" for u, v in edges)
             return f"g{n}:{body}", True
         except _CanonBudget:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -67,48 +66,58 @@ def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], 
     return adj, ball, [dist[v] for v in ball]
 
 
+def _ball_walks(g: Graph, root: int, length: int, scale=None) -> list:
+    """(W^t)_{root,root} for t = 0..length: W is A, or A with each step out of v scaled by scale(v).
+
+    Closed walks of length t stay within floor(t/2) of the root, so the iteration runs on the
+    BFS-ordered ball of radius floor(length/2). Step t updates only its prefix within
+    min(t, length - t) of the root: farther vertices are not reached yet (their entries stay 0)
+    or cannot get back in time (their entries are never read again), and only their neighbours,
+    the prefix within min(t, length - t) + 1, are scaled first. Unscaled counts are Python
+    integers, which never overflow; a Fraction scale keeps the entries exact.
+    """
+    if length < 0:
+        raise GraphInputError(f"kmax must be nonnegative, got {length}")
+    adj, ball, depth = _ball_adjacency(g, root, length // 2)
+    factor = None if scale is None else [scale(v) for v in ball]
+    vec = [1] + [0] * (len(adj) - 1)
+    diagonal = [1]
+    for t in range(1, length + 1):
+        reach = min(t, length - t)
+        source = vec if factor is None else [
+            x * p for x, p in zip(vec, factor[:bisect_right(depth, reach + 1)])]
+        window = bisect_right(depth, reach)
+        vec[:window] = [sum(map(source.__getitem__, nbrs)) for nbrs in adj[:window]]
+        diagonal.append(vec[0])
+    return diagonal
+
+
 def closed_walk_counts(
     g: Graph, root: int, kmax: int, budget: int = WALK_BUDGET_DEFAULT
 ) -> WalkCountTable:
-    """Exact (A^k)_{root,root} for k = 0..kmax by integer vector iteration.
-
-    A closed walk of length k stays within distance floor(k/2) of its start,
-    so the iteration runs on the ball of radius floor(kmax/2) only. Step t
-    updates only the vertices within min(t, kmax - t) of the root, a prefix of
-    the BFS-ordered ball: farther ones are not reached by step t (their entries
-    stay 0) or cannot get back by step kmax (their entries are never read
-    again). Counts are Python integers, so growth like max_degree^k never
-    overflows.
-    """
-    if kmax < 0:
-        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
+    """Exact (A^k)_{root,root} for k = 0..kmax, read from ``_ball_walks``."""
     if budget is not None and kmax > budget:
         raise BudgetError(f"kmax={kmax} exceeds walk budget {budget}")
-    adj, _, depth = _ball_adjacency(g, root, kmax // 2)
-    vec = [0] * len(adj)
-    vec[0] = 1
-    counts = [1]
-    for t in range(1, kmax + 1):
-        window = bisect_right(depth, min(t, kmax - t))
-        vec[:window] = [sum(map(vec.__getitem__, nbrs)) for nbrs in adj[:window]]
-        counts.append(vec[0])
-    return WalkCountTable(root, tuple(counts))
+    return WalkCountTable(root, tuple(_ball_walks(g, root, kmax)))
 
 
-def branch_series(succ: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
-    """Exact series E_b = 1 / (1 - z * sum_{c in succ[b]} E_c), truncated at z^order[b].
+def branch_series(succ: Sequence[Sequence[int]], order: Sequence[int],
+                  weight: Sequence[Sequence] | None = None) -> list[list]:
+    """Exact series E_b = 1 / (1 - z * sum_{c in succ[b]} w_bc E_c), truncated at z^order[b].
 
     A branch b is a subtree seen from its parent. Coefficient j of E_b counts the closed
     walks of length 2j from its top that stay in it: sequences of excursions into child
-    branches c in succ[b] (Hoory 2005). Coefficient j is filled in for every branch before
-    any j + 1, so ``succ`` may contain cycles; a successor of b needs order >= order[b] - 1.
+    branches c in succ[b] (Hoory 2005), each excursion weighted by w_bc = weight[b][i] for
+    c = succ[b][i], or by 1 without ``weight``. Coefficient j is filled in for every branch
+    before any j + 1, so ``succ`` may contain cycles; a successor of b needs order >= order[b] - 1.
     """
     series = [[1] for _ in succ]
-    sums: list[list[int]] = [[] for _ in succ]  # sums[b][i] = sum_{c in succ[b]} E_c[i]
+    sums: list[list] = [[] for _ in succ]  # sums[b][i] = sum_{c in succ[b]} w_bc E_c[i]
     for j in range(1, max(order, default=0) + 1):
         for b, children in enumerate(succ):
             if order[b] >= j:
-                sums[b].append(sum(series[c][j - 1] for c in children))
+                tops = (series[c][j - 1] for c in children)
+                sums[b].append(sum(tops if weight is None else map(mul, weight[b], tops)))
                 series[b].append(sum(map(mul, sums[b], reversed(series[b]))))
     return series
 
@@ -121,18 +130,7 @@ def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:
     """
     if g.min_degree < 1:
         raise GraphInputError("srw_return_probs undefined with an isolated vertex")
-    if kmax < 0:
-        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, ball, _ = _ball_adjacency(g, root, kmax // 2)
-    inv_deg = [1.0 / g.degree(v) for v in ball]
-    vec = [0.0] * len(ball)
-    vec[0] = 1.0
-    probs = [1.0]
-    for _ in range(kmax):
-        scaled = [x * p for x, p in zip(vec, inv_deg)]
-        vec = [sum(map(scaled.__getitem__, nbrs)) for nbrs in adj]
-        probs.append(vec[0])
-    return probs
+    return [1.0] + _ball_walks(g, root, kmax, lambda v: 1.0 / g.degree(v))[1:]
 
 
 # ----------------------------------------------------------------------------
@@ -331,24 +329,20 @@ def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> lis
     """Weighted closed-walk counts: entry k is the sum over closed walks of
     length 2k from ``root`` of the product of the 2k step weights.
 
+    On a tree each forward step of a closed walk pairs with its reversal, so that
+    product is the product of kappa(x, y) = w(x, y) w(y, x) over the forward steps:
+    the series of the root's branch, with excursion weights kappa and orders kmax - depth.
     Unit weights reproduce closed_walk_counts at even lengths; srw weights
     reproduce srw_return_probs on the tree.
     """
     _check_tree(tree)
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, ball, _ = _ball_adjacency(tree, root, kmax)
-    # incoming[u] lists (v_local, weight of step v -> u)
-    incoming = [[(j, edge_weight(w, tree, ball[j], u)) for j in nbrs] for u, nbrs in zip(ball, adj)]
-    zero = 0 if w.mode == "unit" else 0.0 if w.mode == "srw" else 0 * w.delta
-    vec = [zero] * len(ball)
-    vec[0] = zero + 1
-    totals = [zero + 1]
-    for step in range(1, 2 * kmax + 1):
-        vec = [sum((vec[j] * wt for j, wt in inc), zero) for inc in incoming]
-        if step % 2 == 0:
-            totals.append(vec[0])
-    return totals
+    adj, ball, depth = _ball_adjacency(tree, root, kmax)
+    children = [[c for c in nbrs if depth[c] > depth[b]] for b, nbrs in enumerate(adj)]
+    kappa = [[_symmetric_weight(w, tree, ball[b], ball[c]) for c in kids]
+             for b, kids in enumerate(children)]
+    return branch_series(children, [kmax - h for h in depth], kappa)[0]
 
 
 def _symmetric_weight(w: WeightFn, g: Graph, x: int, y: int):
@@ -362,8 +356,9 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
     profiles h and first neighbours y, kappa(root, y) times the weighted count
     of walks with first step y and profile h, where walks are weighted by the
     symmetrized kappa over forward times after the first. The right side is
-    brute-force enumeration, the left side the transfer iteration, so the two
-    routes are independent. Exact arithmetic whenever the weights are rational.
+    brute-force enumeration over Dyck profiles, the left side the excursion
+    recursion of ``weighted_closed_walks``, so the two routes are independent.
+    Exact arithmetic whenever the weights are rational.
     """
     if k > IDENTITY_K_LIMIT:
         raise BudgetError(f"walk_identity_check limited to k <= {IDENTITY_K_LIMIT}, got {k}")
@@ -399,8 +394,7 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
                 total += go(z, idx + 1, acc * _symmetric_weight(w, tree, cur, z))
             return total
 
-        one = Fraction(1) if w.mode in ("unit", "explicit") else 1.0
-        return go(first, 1, one)
+        return go(first, 1, 1)
 
     rhs = 0
     for h in enumerate_dyck(k):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -181,6 +183,9 @@ def test_sample_bad_pi(capsys):
     code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "2:0.7,3:0.7",
                            "--stat", "walks", "--k", "1")
     assert code == 2
+    # a probability too large for a float is checked exactly and named by its degree
+    code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1e400", "--k", "2")
+    assert code == 2 and "degree 2" in err, err
 
 
 def test_census_grid(capsys):
@@ -190,6 +195,19 @@ def test_census_grid(capsys):
     assert report["total"] == 36
     assert report["exact"] is True
     assert report["classes"][0]["count"] == 16  # (6-2)^2 interior class
+
+
+def test_census_csv_rows_are_code_count_pairs(capsys):
+    # exact codes contain commas; every CSV row must still parse into (code, count)
+    code, out, _ = run_cli(capsys, "census", "--gen", "glued_clique_path:4:3", "--radius", "2")
+    assert code == 0
+    classes = [(c["code"], str(c["count"])) for c in json.loads(out)["classes"]]
+    code, out, _ = run_cli(capsys, "census", "--gen", "glued_clique_path:4:3", "--radius", "2",
+                           "--format", "csv")
+    assert code == 0
+    rows = [tuple(row) for row in csv.reader(io.StringIO(out))]
+    assert rows == classes
+    assert any("," in code for code, _ in rows)
 
 
 def test_report_combined(capsys):
@@ -222,6 +240,8 @@ def test_unknown_flags_exit_2(capsys, tmp_path):
     for argv in (walks + ["--kmax", "2"], walks + ["--radius", "2"],
                  ["verify", "--gen", "complete:4", "--format", "csv"],
                  ["verify", "--gen", "complete:4", "--pretty"],
+                 ["census", "--gen", "grid:4", "--radius", "1", "--pretty", "--format", "csv"],
+                 ["analyze", "--gen", "cycle:5", "--format", "csv", "--pretty"],
                  ["verify", "--gen", "complete:4", "--radius", "2"]):
         assert run_cli(capsys, *argv)[0] == 2, argv
     # no prefix matching, and --format only where a CSV rendering exists: rejected by the parser

@@ -246,6 +246,67 @@ def test_census_hash_degradation_flagged():
     assert list(census.counts.values()) == [45]
     code, exact = canonical_rooted_code(big, 0, 1)
     assert code.startswith("h") and not exact
+    # K_9's radius-1 ball is small enough to search, but cyclic: it exhausts CANON_SEARCH_CAP
+    code, exact = canonical_rooted_code(generate("complete", 9), 0, 1)
+    assert code.startswith("h9:") and not exact
+
+
+def test_tree_ball_search_takes_one_branch_per_level():
+    # a tree ball's pruned search gives the full search's code, and stays exact past the cap
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 24))
+        tree = build_graph([(v, int(rng.integers(v))) for v in range(1, n)], n)
+        adj, _, dist = walks._ball_adjacency(tree, int(rng.integers(n)), n)
+        assert (ensembles._min_code(adj, dist, [10**9], True)
+                == ensembles._min_code(adj, dist, [10**9], False))
+    # roots 7, 11, 12 and 18 have tree balls that exhausted the cap of the full search
+    cubic = generate("random_regular", 150, 3, seed=0xC0FFEE)
+    assert all(canonical_rooted_code(cubic, root, 3)[1] for root in range(20))
+
+
+def _ball_nx(nx, g, root, radius):
+    dist = bfs_distances(g, root, radius)
+    ball = nx.Graph()
+    ball.add_nodes_from((v, {"dist": d}) for v, d in enumerate(dist) if d >= 0)
+    ball.add_edges_from((u, v) for u, v in g.edges() if dist[u] >= 0 and dist[v] >= 0)
+    return ball
+
+
+def _cone(cycle_lengths):
+    """Vertex 0 joined to every vertex of disjoint cycles: its neighbours form one refinement
+    cell that is not one automorphism orbit unless the cycles have equal lengths."""
+    edges, start = [], 1
+    for length in cycle_lengths:
+        edges += [(start + i, start + (i + 1) % length) for i in range(length)]
+        start += length
+    return build_graph(edges + [(0, v) for v in range(1, start)], start)
+
+
+def test_canonical_codes_agree_with_vf2():
+    # equal codes exactly when networkx finds a distance-preserving isomorphism
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
+
+    rng = np.random.default_rng(17)
+    graphs = [generate("random_regular", 40, 3, seed=3), generate("grid", 5),
+              random_connected_graph(16, 6, rng), random_connected_graph(16, 2, rng),
+              _cone((3, 4)), _cone((4, 3))]
+    balls = []
+    for g, radius in [(g, 2) for g in graphs] + [(graphs[0], 3)]:
+        for root in range(g.vertex_count):
+            code, exact = canonical_rooted_code(g, root, radius)
+            assert exact
+            balls.append((code, _ball_nx(nx, g, root, radius)))
+    match = categorical_node_match("dist", -1)
+    outcomes = {True: 0, False: 0}
+    for i, (code_a, a) in enumerate(balls):
+        for code_b, b in balls[i + 1:]:
+            if (len(a), a.number_of_edges()) == (len(b), b.number_of_edges()):
+                isomorphic = GraphMatcher(a, b, node_match=match).is_isomorphic()
+                assert (code_a == code_b) == isomorphic
+                outcomes[isomorphic] += 1
+    assert min(outcomes.values()) > 100  # both outcomes are exercised
 
 
 def test_tv_distance():

@@ -93,6 +93,30 @@ def test_srw_matches_float_matrix_power(name):
         assert all(0.0 <= q <= 1.0 for q in probs)
 
 
+def _full_srw_iteration(g, x, kmax):
+    """Return probabilities with every vertex of the graph updated at every step."""
+    vec = [0.0] * g.vertex_count
+    vec[x] = 1.0
+    probs = [1.0]
+    for _ in range(kmax):
+        scaled = [value * (1.0 / g.degree(v)) for v, value in enumerate(vec)]
+        vec = [sum(scaled[w] for w in g.adjacency[v]) for v in range(g.vertex_count)]
+        probs.append(vec[x])
+    return probs
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_srw_return_probs_equal_full_iteration(name):
+    # the windowed ball iteration makes the same products and sums, so the floats are equal
+    g = FIXTURES[name]
+    if g.min_degree < 1:
+        return
+    for x in range(g.vertex_count):
+        full = _full_srw_iteration(g, x, 8)
+        for kmax in range(9):
+            assert srw_return_probs(g, x, kmax) == full[:kmax + 1]
+
+
 def test_catalan_and_dyck():
     assert catalan(0) == 1
     assert catalan(2) == 2
@@ -111,6 +135,15 @@ def test_branch_series_cycles_and_orders():
     # line's central binomials, kept to the root's own order
     series = branch_series([[0], [0, 0]], [9, 3])
     assert series == [[catalan(j) for j in range(10)], [math.comb(2 * j, j) for j in range(4)]]
+
+
+def test_branch_series_excursion_weights():
+    # every excursion into the one child branch weighs 2, so the 2j steps weigh 2^j
+    assert branch_series([[0]], [8], [[2]])[0] == [2**j * catalan(j) for j in range(9)]
+    # weights line up with the successor lists: one-step excursions into two leaves weigh 3 + 5
+    assert branch_series([[1, 2], [], []], [2, 1, 1], [[3, 5], [], []])[0] == [1, 8, 64]
+    # a half-weight excursion into a Catalan branch stays an exact Fraction
+    assert branch_series([[1], [1]], [3, 3], [[Fraction(1, 2)], [1]])[0][3] == Fraction(13, 8)
 
 
 def test_dyck_validation():
@@ -262,7 +295,7 @@ def _walk_weight_products(tree, walk, w):
 @pytest.mark.parametrize("seed", range(5))
 def test_pairing_identity(seed):
     # product over all 2k steps == product of kappa over forward steps,
-    # walk by walk, hence also in total; totals match the transfer iteration
+    # walk by walk, hence also in total; totals match the excursion recursion
     from fixture_graphs import enumerate_closed_walks
 
     rng = np.random.default_rng(seed)
