@@ -1,9 +1,10 @@
 """Spectral-radius, tail-mass, and volume-growth lower bounds from degree moments.
 
-Every bound here consumes either the degree functionals of a concrete finite
-graph (DegreeStats) or the moments of an abstract root-degree law
-(DegreeDistribution); a small adapter extracts the common moments. All
-formulas use natural log and exp in full precision, no series approximations.
+Every bound depends only on the root-degree law, so it reads the moments
+``d_av``, ``d2_mean``, ``dlog_mean``, ``dlogd_mean`` and ``hoory_lambda`` of
+either a concrete finite graph (DegreeStats) or an abstract law
+(DegreeDistribution), which name them alike. All formulas use natural log and
+exp in full precision, no series approximations.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .spectra import adjacency_spectrum, sigma
 __all__ = [
     "AlonBoppanaRow",
     "BoundReport",
-    "DegreeMoments",
     "alon_boppana_report",
-    "degree_moments",
     "hoory_bound",
     "sphere_growth_bounds",
     "srw_tail_threshold",
@@ -32,28 +31,10 @@ __all__ = [
 ]
 
 
-class DegreeMoments(NamedTuple):
-    mean_d: float
-    mean_d2: float
-    mean_dlog: float  # E[D log(D - 1)]
-    mean_dlogd: float  # E[D log D]
-    min_degree: int
-
-
-def degree_moments(source: DegreeStats | DegreeDistribution) -> DegreeMoments:
-    if isinstance(source, DegreeStats):
-        if source.min_degree < 2 or source.dlog_mean is None:
-            raise GraphInputError("degree moments for bounds require minimum degree >= 2")
-        return DegreeMoments(
-            source.d_av, source.d2_mean, source.dlog_mean, source.dlogd_mean, source.min_degree
-        )
-    if isinstance(source, DegreeDistribution):
-        if source.min_degree < 2:
-            raise GraphInputError("degree moments for bounds require support >= 2")
-        return DegreeMoments(
-            source.mean_d, source.mean_d2, source.mean_dlog, source.mean_dlogd, source.min_degree
-        )
-    raise TypeError(f"expected DegreeStats or DegreeDistribution, got {type(source)!r}")
+def _require_leafless(stats: DegreeStats | DegreeDistribution) -> None:
+    # the log-based moments are None exactly when degree <= 1 occurs
+    if stats.dlog_mean is None:
+        raise GraphInputError("degree moments for bounds require minimum degree >= 2")
 
 
 def tree_spectral_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tuple[float, float]:
@@ -63,9 +44,9 @@ def tree_spectral_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tupl
     by convexity of x log(x - 1) on x >= 2, with equality only for a
     deterministic degree.
     """
-    m = degree_moments(stats)
-    b1 = 2.0 * math.exp(m.mean_dlog / (2.0 * m.mean_d))
-    b2 = 2.0 * math.sqrt(m.mean_d - 1.0)
+    _require_leafless(stats)
+    b1 = 2.0 * math.exp(stats.dlog_mean / (2.0 * stats.d_av))
+    b2 = 2.0 * math.sqrt(stats.d_av - 1.0)
     return b1, b2
 
 
@@ -74,34 +55,21 @@ def tree_srw_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tuple[flo
 
     b1 = 2 exp(E[D log(sqrt(D-1)/D)] / E[D]) and b2 = 2 E[D] sqrt(E[D]-1) / E[D^2].
     """
-    m = degree_moments(stats)
-    b1 = 2.0 * math.exp((m.mean_dlog / 2.0 - m.mean_dlogd) / m.mean_d)
-    b2 = 2.0 * m.mean_d * math.sqrt(m.mean_d - 1.0) / m.mean_d2
+    _require_leafless(stats)
+    b1 = 2.0 * math.exp((stats.dlog_mean / 2.0 - stats.dlogd_mean) / stats.d_av)
+    b2 = 2.0 * stats.d_av * math.sqrt(stats.d_av - 1.0) / stats.d2_mean
     return b1, b2
 
 
 def hoory_bound(stats: DegreeStats | DegreeDistribution) -> float:
-    """2 sqrt(Lambda) with Lambda the degree-geometric-mean product.
+    """2 sqrt(Lambda) with Lambda = ``hoory_lambda``, the degree-geometric-mean product.
 
-    For a graph, Lambda is the per-vertex product prod (deg v - 1)^(deg v / 2m)
-    already carried by DegreeStats; for a degree law it is the product over the
-    support. Algebraically identical to the first tree-radius bound, but
-    evaluated through the product form, which makes the identity a usable
-    cross-check of both code paths.
+    Algebraically identical to the first tree-radius bound, but evaluated
+    through the product form, which makes the identity a usable cross-check of
+    both code paths (the ``hoory_equals_entropy_bound`` row of the bounds suite).
     """
-    if isinstance(stats, DegreeStats):
-        if stats.hoory_lambda is None:
-            raise GraphInputError("hoory bound undefined when a leaf exists")
-        return 2.0 * math.sqrt(stats.hoory_lambda)
-    if isinstance(stats, DegreeDistribution):
-        if stats.min_degree < 2:
-            raise GraphInputError("hoory bound requires support >= 2")
-        mean = stats.mean_d
-        lam = 1.0
-        for d, p in zip(stats.support, stats.probabilities):
-            lam *= float(d - 1) ** (d * float(p) / mean)
-        return 2.0 * math.sqrt(lam)
-    raise TypeError(f"expected DegreeStats or DegreeDistribution, got {type(stats)!r}")
+    _require_leafless(stats)
+    return 2.0 * math.sqrt(stats.hoory_lambda)
 
 
 def tail_mass_lower_bound(cover_moment_w2k, rho_h: float, a: float, k: int) -> float:
@@ -163,9 +131,9 @@ def sphere_growth_bounds(stats: DegreeStats | DegreeDistribution, r: int) -> tup
     """
     if r < 1:
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
-    m = degree_moments(stats)
-    b1 = m.mean_d * math.exp((r - 1) * m.mean_dlog / m.mean_d)
-    b2 = m.mean_d * (m.mean_d - 1.0) ** (r - 1)
+    _require_leafless(stats)
+    b1 = stats.d_av * math.exp((r - 1) * stats.dlog_mean / stats.d_av)
+    b2 = stats.d_av * (stats.d_av - 1.0) ** (r - 1)
     return b1, b2
 
 

@@ -511,8 +511,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     radius_min = 0 if cfg.subcommand == "census" else 1
     for name in ("radius", "kmax", "samples", "k", "r"):
         value = getattr(cfg, name)
-        if value is not None and value < (radius_min if name == "radius" else 1):
-            raise GraphInputError(f"--{name} must be positive, got {value}")
+        least = radius_min if name == "radius" else 1
+        if value is not None and value < least:
+            word = "nonnegative" if least == 0 else "positive"
+            raise GraphInputError(f"--{name} must be {word}, got {value}")
     if cfg.seed < 0:
         raise GraphInputError(f"--seed must be nonnegative, got {cfg.seed}")
     if cfg.pretty and cfg.format == "csv":

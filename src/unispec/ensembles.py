@@ -50,10 +50,10 @@ UGW_NODE_BUDGET = 1_000_000
 class DegreeDistribution:
     """A finitely supported root-degree law with its moments.
 
-    Leafless mode (the default) requires support >= 2, which is what the
-    bound machinery assumes; censuses and plain sampling may allow degree 1
-    via ``allow_leaves=True``. Rational probabilities (Fractions) keep the
-    size-biased construction exact.
+    The moments carry the names of the ``DegreeStats`` fields, so every bound reads
+    either type; a finite graph with a uniform root is the law of its degrees. As
+    there, the log-based moments are None when degree 1 is in the support. Rational
+    probabilities (Fractions) keep the size-biased construction exact.
     """
 
     support: tuple[int, ...]
@@ -74,16 +74,12 @@ class DegreeDistribution:
             raise GraphInputError(f"probabilities sum to {float(total)}")
 
     @classmethod
-    def build(cls, pairs, allow_leaves: bool = False) -> "DegreeDistribution":
+    def build(cls, pairs) -> "DegreeDistribution":
         items = sorted(pairs)
-        support = tuple(d for d, _ in items)
-        probs = tuple(p for _, p in items)
-        if not allow_leaves and any(d < 2 for d in support):
-            raise GraphInputError("degree 1 in support requires allow_leaves=True")
-        return cls(support, probs)
+        return cls(tuple(d for d, _ in items), tuple(p for _, p in items))
 
     @classmethod
-    def from_string(cls, text: str, allow_leaves: bool = False) -> "DegreeDistribution":
+    def from_string(cls, text: str) -> "DegreeDistribution":
         """Parse "2:0.5,3:0.5"; decimal probabilities become exact Fractions."""
         pairs = []
         for part in text.split(","):
@@ -95,17 +91,17 @@ class DegreeDistribution:
                 pairs.append((int(d_text), Fraction(p_text)))
             except (ValueError, ZeroDivisionError):
                 raise GraphInputError(f"bad degree:probability pair {part!r}") from None
-        return cls.build(pairs, allow_leaves=allow_leaves)
+        return cls.build(pairs)
 
     def _moment(self, f) -> float:
         return float(sum(p * f(d) for d, p in zip(self.support, self.probabilities)))
 
     @property
-    def mean_d(self) -> float:
+    def d_av(self) -> float:
         return self._moment(lambda d: d)
 
     @property
-    def mean_d2(self) -> float:
+    def d2_mean(self) -> float:
         return self._moment(lambda d: d * d)
 
     @property
@@ -114,15 +110,26 @@ class DegreeDistribution:
         return self._moment(lambda d: d * (d - 1))
 
     @property
-    def mean_dlog(self) -> float:
-        """E[D log(D - 1)] with the 1 * log 0 case excluded by leafless mode."""
-        if self.support[0] < 2:
-            raise GraphInputError("E[D log(D-1)] undefined with degree-1 support")
+    def dlog_mean(self) -> float | None:
+        """E[D log(D - 1)]; None with degree 1 in the support."""
+        if self.min_degree < 2:
+            return None
         return self._moment(lambda d: d * math.log(d - 1))
 
     @property
-    def mean_dlogd(self) -> float:
+    def dlogd_mean(self) -> float:
         return self._moment(lambda d: d * math.log(d))
+
+    @property
+    def hoory_lambda(self) -> float | None:
+        """prod_d (d - 1)^(d pi(d) / E[D]); None with degree 1 in the support."""
+        if self.min_degree < 2:
+            return None
+        mean = self.d_av
+        lam = 1.0
+        for d, p in zip(self.support, self.probabilities):
+            lam *= float(d - 1) ** (d * float(p) / mean)
+        return lam
 
     @property
     def min_degree(self) -> int:
@@ -240,7 +247,7 @@ def exact_sphere_expectation(pi: DegreeDistribution, r: int) -> float:
     """Branching value E[|S_r|] = E[D] * m^(r-1) with m = E[D(D-1)] / E[D]."""
     if r < 1:
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
-    mean = pi.mean_d
+    mean = pi.d_av
     return mean * (pi.mean_d_dm1 / mean) ** (r - 1)
 
 
@@ -321,41 +328,40 @@ def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: 
     # budget counts search nodes, so walls of equal-code branches on highly
     # symmetric balls cannot stall the census; exhaustion degrades to hashing.
     # On a coloured tree the stable cells are automorphism orbits (a tree is its
-    # own unfolding), so every branch gives the same code and one is searched
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise _CanonBudget
-    colors = _refine(adj, colors)
+    # own unfolding), so every branch gives the same code and one is searched;
+    # a loop searches it, as a big tree ball needs more levels than Python recurses
     n = len(adj)
-    if len(set(colors)) == n:
-        return _code_from_discrete(adj, colors)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    cell = by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
-    best = None
-    for v in cell[:1] if tree else cell:
-        child = list(colors)
-        child[v] = n  # fresh color, larger than any refined id
-        code = _min_code(adj, child, budget, tree)
-        if best is None or code < best:
-            best = code
-    return best
+    while True:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _CanonBudget
+        colors = _refine(adj, colors)
+        if len(set(colors)) == n:
+            return _code_from_discrete(adj, colors)
+        by_color: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        cell = by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
+        if not tree:  # individualize v with the fresh color n, larger than any refined id
+            return min(_min_code(adj, colors[:v] + [n] + colors[v + 1:], budget, tree)
+                       for v in cell)
+        colors = colors[:cell[0]] + [n] + colors[cell[0] + 1:]
 
 
 def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     """Canonical code of the rooted ball B_radius(g, root).
 
     Exact canonical form (minimum code over refinement-individualized
-    orderings) up to ``EXACT_CANON_LIMIT`` vertices; a tree ball takes one branch
-    per search level, so only cyclic balls can exhaust ``CANON_SEARCH_CAP``. Larger
-    or exhausted balls fall back to an iterative-refinement hash, flagged non-exact,
-    which can in principle collide for refinement-equivalent non-isomorphic balls.
+    orderings). A tree ball takes one branch per search level, so it is exact at
+    any size; a cyclic ball is searched only up to ``EXACT_CANON_LIMIT`` vertices
+    and ``CANON_SEARCH_CAP`` search nodes. Larger or exhausted cyclic balls fall
+    back to an iterative-refinement hash, flagged non-exact, which can in
+    principle collide for refinement-equivalent non-isomorphic balls.
     """
     adj, _, init = _ball_adjacency(g, root, radius)  # colored by distance: the root alone at 0
-    if len(adj) <= EXACT_CANON_LIMIT:
+    tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected
+    if tree or len(adj) <= EXACT_CANON_LIMIT:
         try:
-            tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected
             n, edges = _min_code(adj, init, [CANON_SEARCH_CAP], tree)
             body = ",".join(f"{u}-{v}" for u, v in edges)
             return f"g{n}:{body}", True

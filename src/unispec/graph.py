@@ -148,16 +148,23 @@ def build_graph(edge_list: Iterable[tuple[int, int]], n: int) -> Graph:
     """
     if n < 0:
         raise GraphInputError(f"vertex count must be nonnegative, got {n}")
+    return _checked_graph(edge_list, n, lambda i: f"edge {i}")
+
+
+def _checked_graph(edges: Iterable[tuple[int, int]], n: int, label) -> Graph:
+    """The graph of ``edges`` on 0..n-1; the bad entry i is named ``label(i)``."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i, (u, v) in enumerate(edge_list):
+    for i, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError(f"edge {i}: endpoint out of range in ({u}, {v}) for n={n}")
+            raise GraphInputError(f"{label(i)}: endpoint out of range in ({u}, {v}) for n={n}")
         if u == v:
-            raise GraphInputError(f"edge {i}: self-loop ({u}, {v})")
+            raise GraphInputError(f"{label(i)}: self-loop ({u}, {v})")
         if v in nbrs[u]:
-            raise GraphInputError(f"edge {i}: duplicate edge ({u}, {v})")
+            raise GraphInputError(f"{label(i)}: duplicate edge ({u}, {v})")
         nbrs[u].add(v)
         nbrs[v].add(u)
+    if n < 0:  # reached without edges only: any edge is out of range first
+        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
     return Graph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
@@ -435,14 +442,4 @@ def load_graph(path: str) -> Graph:
     """Load and validate a graph file, reporting errors by source line."""
     with open(path, "r", encoding="utf-8") as fh:
         entries, n = _parse_edge_lines(fh)
-    seen: set[tuple[int, int]] = set()
-    for u, v, lineno in entries:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphInputError(f"line {lineno}: endpoint out of range in ({u}, {v}) for n={n}")
-        if u == v:
-            raise GraphInputError(f"line {lineno}: self-loop ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphInputError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-    return build_graph([(u, v) for u, v, _ in entries], n)
+    return _checked_graph([(u, v) for u, v, _ in entries], n, lambda i: f"line {entries[i][2]}")

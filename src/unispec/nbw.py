@@ -15,6 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .ensembles import DegreeDistribution
 from .graph import DegreeStats, DirectedEdge, Graph, GraphInputError
 
 __all__ = [
@@ -143,10 +144,10 @@ def stationarity_check(g: Graph) -> StationarityReport:
     return StationarityReport(stat_dev, rev_dev)
 
 
-def nbw_entropy(stats: DegreeStats) -> float:
+def nbw_entropy(stats: DegreeStats | DegreeDistribution) -> float:
     """Entropy (nats) of one non-backtracking step under the stationary law:
-    E[deg log(deg - 1)] / E[deg]."""
-    if stats.min_degree < 2 or stats.dlog_mean is None:
+    E[deg log(deg - 1)] / E[deg], of a graph's degrees or of a degree law."""
+    if stats.dlog_mean is None:
         raise GraphInputError("nbw_entropy undefined when a leaf exists")
     return stats.dlog_mean / stats.d_av
 

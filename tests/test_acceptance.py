@@ -113,7 +113,7 @@ def test_05_ugw_mass_transport(monkeypatch):
     seed, samples = 5, 2000
     for pi in laws:
         mean, stderr = _root_neighbour_degrees(pi, samples, seed)
-        assert abs(mean - pi.mean_d2) <= 3 * stderr, (pi, mean)
+        assert abs(mean - pi.d2_mean) <= 3 * stderr, (pi, mean)
 
     def unbiased(self):
         return tuple((d - 1, p) for d, p in zip(self.support, self.probabilities))
@@ -121,7 +121,7 @@ def test_05_ugw_mass_transport(monkeypatch):
     monkeypatch.setattr(DegreeDistribution, "size_biased_offspring", unbiased)
     for pi in laws:
         mean, stderr = _root_neighbour_degrees(pi, samples, seed)
-        assert mean < pi.mean_d2 - 3 * stderr, (pi, mean)
+        assert mean < pi.d2_mean - 3 * stderr, (pi, mean)
 
 
 def test_06_walk_identity_on_random_trees():

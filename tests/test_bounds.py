@@ -13,6 +13,7 @@ from unispec import (
     degree_stats,
     generate,
     hoory_bound,
+    nbw_entropy,
     sigma,
     sphere_growth_bounds,
     srw_tail_threshold,
@@ -71,11 +72,30 @@ def test_srw_bounds_uniform23():
     assert b1 >= b2
 
 
+BOUNDS = [tree_spectral_radius_bounds, tree_srw_radius_bounds, hoory_bound, srw_tail_threshold,
+          lambda stats: sphere_growth_bounds(stats, 3), nbw_entropy]
+
+
 def test_leaf_rejection():
     with pytest.raises(GraphInputError):
         tree_spectral_radius_bounds(degree_stats(FIXTURES["p5"]))
     with pytest.raises(GraphInputError):
         srw_tail_threshold(degree_stats(FIXTURES["star3"]))
+    for bound in BOUNDS:
+        with pytest.raises(GraphInputError):
+            bound(DegreeDistribution.from_string("1:0.5,3:0.5"))
+
+
+@pytest.mark.parametrize("name", LEAFLESS)
+def test_graph_and_its_empirical_law_agree(name):
+    # a finite graph with a uniform root is the unimodular network of its degree law
+    degrees = [len(nbrs) for nbrs in FIXTURES[name].adjacency]
+    n = len(degrees)
+    law = DegreeDistribution.build([(d, Fraction(degrees.count(d), n)) for d in set(degrees)])
+    stats = degree_stats(FIXTURES[name])
+    for bound in BOUNDS:
+        got, want = np.ravel(bound(law)), np.ravel(bound(stats))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (bound, got, want)
 
 
 def test_tail_bound_c4():

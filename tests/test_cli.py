@@ -130,6 +130,10 @@ def test_cover_requires_radius(capsys):
         code, _, err = run_cli(capsys, command, "--gen", "cycle:8", "--radius", "0")
         assert code == 2 and "--radius" in err, command
     assert run_cli(capsys, "census", "--gen", "cycle:8", "--radius", "0")[0] == 0
+    code, _, err = run_cli(capsys, "census", "--gen", "cycle:8", "--radius", "-1")
+    assert code == 2 and "--radius must be nonnegative, got -1" in err
+    code, _, err = run_cli(capsys, "cover", "--gen", "cycle:8", "--radius", "-1")
+    assert code == 2 and "--radius must be positive, got -1" in err
 
 
 def test_sample_walks_point_mass(capsys):
@@ -169,6 +173,16 @@ def test_sample_sphere_growth_bound_radius(capsys):
     assert "depth" not in report["config"]
 
 
+def test_sample_sphere_leafy_law(capsys):
+    # a law with leaves samples; only the growth bound needs minimum degree 2
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "1:0.5,3:0.5", "--stat", "sphere",
+                             "--samples", "50")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["exact"] == 4.5  # E[D] m^2 with E[D] = 2, m = E[D(D-1)] / E[D] = 1.5
+    assert "growth_bound" not in report
+
+
 def test_sample_sphere_node_budget(capsys):
     # 10-regular offspring: the depth-7 tree has 5,978,711 vertices, past the budget of 1e6
     # once its last generation is counted, as for --stat walks --k 7; |S_8| = 47,829,690
@@ -186,6 +200,10 @@ def test_sample_bad_pi(capsys):
     # a probability too large for a float is checked exactly and named by its degree
     code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1e400", "--k", "2")
     assert code == 2 and "degree 2" in err, err
+    # the regular tree of degree 1 has no walk series
+    code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "1:1", "--stat", "walks", "--k", "2",
+                           "--samples", "5")
+    assert code == 2 and "degree must be >= 2" in err, err
 
 
 def test_census_grid(capsys):

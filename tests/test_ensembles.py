@@ -19,6 +19,7 @@ from unispec import (
     regular_tree_walks,
     sample_ugw,
     tv_distance,
+    universal_cover_ball,
 )
 
 from fixture_graphs import enumerate_closed_walks, random_connected_graph
@@ -30,18 +31,19 @@ DELTA_2 = DegreeDistribution.from_string("2:1")
 
 def test_distribution_moments():
     pi = UNIFORM_23
-    assert pi.mean_d == 2.5
-    assert pi.mean_d2 == 6.5
+    assert pi.d_av == 2.5
+    assert pi.d2_mean == 6.5
     assert pi.mean_d_dm1 == 4.0
-    assert abs(pi.mean_dlog - 1.5 * math.log(2)) < 1e-15
+    assert abs(pi.dlog_mean - 1.5 * math.log(2)) < 1e-15
 
 
 def test_distribution_validation():
     with pytest.raises(GraphInputError):
         DegreeDistribution.from_string("2:0.5,3:0.4")  # sums to 0.9
-    with pytest.raises(GraphInputError):
-        DegreeDistribution.from_string("1:0.5,3:0.5")  # leaf without allow_leaves
-    assert DegreeDistribution.from_string("1:0.5,3:0.5", allow_leaves=True).min_degree == 1
+    # a law with leaves is valid; only the bounds need minimum degree 2
+    leafy = DegreeDistribution.from_string("1:0.5,3:0.5")
+    assert leafy.min_degree == 1
+    assert leafy.dlog_mean is None and leafy.hoory_lambda is None
     with pytest.raises(GraphInputError):
         DegreeDistribution.from_string("2:0.5;3:0.5")
 
@@ -142,8 +144,7 @@ def test_negative_depth_rejected():
 
 
 @pytest.mark.parametrize("pi,r", [(UNIFORM_23, 3), (DELTA_2, 4),
-                                  (DegreeDistribution.from_string("1:0.5,3:0.5",
-                                                                  allow_leaves=True), 4)])
+                                  (DegreeDistribution.from_string("1:0.5,3:0.5"), 4)])
 def test_sphere_samples_match_sampled_trees(monkeypatch, pi, r):
     # sample i of the sphere estimate is |S_r| of the tree sample_ugw draws from (seed, i)
     seen = []
@@ -249,9 +250,12 @@ def test_census_hash_degradation_flagged():
     # K_9's radius-1 ball is small enough to search, but cyclic: it exhausts CANON_SEARCH_CAP
     code, exact = canonical_rooted_code(generate("complete", 9), 0, 1)
     assert code.startswith("h9:") and not exact
+    # EXACT_CANON_LIMIT (40) bounds cyclic balls: the centre of grid:9 has a 41-vertex ball
+    code, exact = canonical_rooted_code(generate("grid", 9), 40, 4)
+    assert code.startswith("h41:") and not exact
 
 
-def test_tree_ball_search_takes_one_branch_per_level():
+def test_tree_ball_search_takes_one_branch_per_level(monkeypatch):
     # a tree ball's pruned search gives the full search's code, and stays exact past the cap
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -263,6 +267,18 @@ def test_tree_ball_search_takes_one_branch_per_level():
     # roots 7, 11, 12 and 18 have tree balls that exhausted the cap of the full search
     cubic = generate("random_regular", 150, 3, seed=0xC0FFEE)
     assert all(canonical_rooted_code(cubic, root, 3)[1] for root in range(20))
+    # and past EXACT_CANON_LIMIT (40): the radius-4 ball of the cubic tree, in any labelling
+    ball = universal_cover_ball(generate("complete", 4), 0, 4)
+    code, exact = canonical_rooted_code(ball.tree, ball.root, 4)
+    assert exact and code.startswith("g46:")
+    perm = np.random.default_rng(5).permutation(46)
+    relabeled = build_graph([(int(perm[u]), int(perm[v])) for u, v in ball.tree.edges()], 46)
+    assert canonical_rooted_code(relabeled, int(perm[ball.root]), 4) == (code, True)
+    # its one branch is searched by a loop, not by a recursion that a big ball overflows
+    calls = []
+    search = ensembles._min_code
+    monkeypatch.setattr(ensembles, "_min_code", lambda *args: calls.append(1) or search(*args))
+    assert canonical_rooted_code(ball.tree, ball.root, 4) == (code, True) and len(calls) == 1
 
 
 def _ball_nx(nx, g, root, radius):

@@ -232,3 +232,6 @@ def test_load_graph_reports_offending_line(tmp_path):
     path.write_text("0 1\n1 0\n")
     with pytest.raises(GraphInputError, match="line 2: duplicate"):
         load_graph(str(path))
+    path.write_text("n 3\n0 1\n\n1 3\n")
+    with pytest.raises(GraphInputError, match=r"line 4: endpoint out of range in \(1, 3\) for n=3"):
+        load_graph(str(path))
