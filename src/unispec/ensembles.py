@@ -6,8 +6,9 @@ from the size-biased shifted law P(offspring = k - 1) = k pi(k) / E[D]. That is
 the construction under which the resulting random rooted tree satisfies the
 Mass-Transport Principle.
 
-All estimators derive a per-sample generator from (master seed, sample index),
-so aggregation is deterministic no matter how samples are scheduled.
+Every draw comes from a counter-based Philox stream (Salmon et al. 2011) keyed by
+the master seed and addressed by (sample, generation, vertex), so sample i is a
+function of (master seed, i) alone, however the samples are chunked or scheduled.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +44,13 @@ EXACT_CANON_LIMIT = 40
 # balls use < 30 search nodes); only factorially symmetric balls hit the cap
 CANON_SEARCH_CAP = 5_000
 UGW_NODE_BUDGET = 1_000_000
+# trees the estimators grow together; any chunking gives the same samples. Larger chunks
+# pay less per-call overhead but hold more memory: at 1024 the perfbench ugw workload peaks
+# at 42 MB, below the 44 MB of a loop over single trees, and at 2048 it peaks at 46 MB
+UGW_CHUNK = 1024
+_PHILOX_SLICE = 1 << 14  # counter blocks per Philox evaluation
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
@@ -167,46 +174,115 @@ def _inverse_cdfs(pi: DegreeDistribution) -> tuple[tuple[np.ndarray, np.ndarray]
             (np.array([k for k, _ in offspring]), np.cumsum([float(p) for _, p in offspring])))
 
 
-def _generations(laws: tuple, depth: int, rng) -> tuple[list[np.ndarray], int]:
-    """Grow a UGW tree: child counts of generations 0..depth-1 and the size of generation depth.
+def _philox_key(master: int) -> np.ndarray:
+    """The Philox key of a master seed; every draw of every sample is keyed by it."""
+    return np.random.SeedSequence(master).generate_state(2, np.uint64)
 
-    Vertices are numbered level by level, so each vertex's children are consecutive. The root's
-    degree comes from pi, then one size-biased offspring draw per generation; an empty generation
-    ends the list. The only ``UGW_NODE_BUDGET`` check: it counts every vertex, the last level too.
+
+def _philox(ctr: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 (Salmon et al. 2011) of each column of a (4, n) uint64 counter array.
+
+    The same function as numpy's ``Philox`` bit generator: ten rounds, the key bumped by the
+    Weyl constants before every round after the first.
+    """
+    low, half = np.array(0xFFFFFFFF, np.uint64), np.array(32, np.uint64)  # faster than int operands
+    m = np.array(_PHILOX_M, np.uint64)[:, None]  # multipliers of words 0 and 2
+    m_lo, m_hi = m & low, m >> half
+    bumps = np.array(_PHILOX_W[::-1], np.uint64)[:, None] * np.arange(10, dtype=np.uint64)
+    keys = key[::-1, None] + bumps  # round r xors key + r * W, word order matching hi
+    x = ctr.copy()
+    for r in range(10):
+        a = x[0::2]
+        a_lo, a_hi = a & low, a >> half
+        mid = a_hi * m_lo
+        carry = ((a_lo * m_lo) >> half) + (mid & low) + a_lo * m_hi
+        hi = a_hi * m_hi + (mid >> half) + (carry >> half)  # high words of the products a * m
+        lo = a * m
+        hi ^= x[3::-2]  # words 3 and 1
+        hi ^= keys[:, r:r + 1]
+        x[0::2], x[1::2] = hi[::-1], lo[::-1]
+    return x
+
+
+def _uniforms(key: np.ndarray, g: int, trees: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The uniform draws of generation g: ``sizes[t]`` of them for tree ``trees[t]``, tree-major.
+
+    Vertex j of tree i takes word j % 4 of Philox at counter (1 + j // 4, g, i, 0) as the double
+    (x >> 11) * 2**-53. These are the values of
+    ``Generator(Philox(key=key, counter=[0, g, i, 0])).random(size)``, so every draw is a
+    function of (key, tree, generation, vertex) alone.
+    """
+    blocks = (sizes + 3) // 4
+    first = np.cumsum(blocks) - blocks  # each tree's first block
+    ctr = np.zeros((int(blocks.sum()), 4), np.uint64)
+    ctr[:, 0] = np.arange(1, len(ctr) + 1) - np.repeat(first, blocks)
+    ctr[:, 1] = g
+    ctr[:, 2] = np.repeat(trees, blocks)
+    for s in range(0, len(ctr), _PHILOX_SLICE):  # bounds the round temporaries
+        ctr[s:s + _PHILOX_SLICE] = _philox(ctr[s:s + _PHILOX_SLICE].T, key).T
+    skip = np.repeat(4 * first - (np.cumsum(sizes) - sizes), sizes)  # unused words of last blocks
+    return (ctr.ravel()[np.arange(len(skip)) + skip] >> 11) * 2.0 ** -53
+
+
+def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
+    """Grow UGW trees ``trees``; yield (child counts of generations 0..depth-1, per-tree size of
+    generation depth) for consecutive runs of them, in tree order.
+
+    Generation g lists the child counts of its vertices tree-major, each tree's vertices in level
+    order, so the children of a vertex are consecutive in generation g + 1. The root's degree
+    comes from pi, then one size-biased offspring draw per vertex; a generation empty in every
+    tree ends the list.
+
+    The only ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every vertex, the last level
+    too, raises. A run of trees that passes it together is split in two and grown again, so no run
+    yielded holds more vertices than the budget. Each draw depends only on its counter, so the trees
+    never depend on the split.
     """
     if depth < 0:
         raise GraphInputError(f"depth must be nonnegative, got {depth}")
     (values, cum), offspring = laws
     counts = []
-    size = total = 1
-    while size and len(counts) < depth:
-        drawn = values[cum.searchsorted(rng.random(size))]
+    sizes = np.ones(len(trees), np.int64)
+    totals = sizes.copy()
+    for g in range(depth):
+        if not sizes.any():
+            break
+        drawn = values[cum.searchsorted(_uniforms(key, g, trees, sizes))]
         counts.append(drawn)
-        size = int(drawn.sum())
-        total += size
-        if total > UGW_NODE_BUDGET:
+        owner = np.repeat(np.arange(len(trees)), sizes)
+        sizes = np.bincount(owner, drawn, len(trees)).astype(np.int64)
+        totals += sizes
+        if totals.max() > UGW_NODE_BUDGET:
             raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
+        if totals.sum() > UGW_NODE_BUDGET:
+            del counts, drawn  # the halves regrow them; free them first
+            for half in np.array_split(trees, 2):
+                yield from _generations(laws, depth, key, half)
+            return
         values, cum = offspring
-    return counts, size
+    yield counts, sizes
 
 
-def _tree_lists(counts: list[np.ndarray], size: int) -> tuple[list[range], list[int]]:
-    """Children and depth of every vertex of a tree grown by ``_generations``."""
-    flat = [c for generation in counts for c in generation.tolist()]
-    children = [range(a, a + c) for a, c in zip(accumulate(flat, initial=1), flat)]
-    depth = [h for h, generation in enumerate(counts) for _ in range(len(generation))]
-    return children + [range(0)] * size, depth + [len(counts)] * size
+def _chunks(samples: int):
+    """Consecutive sample indices, ``UGW_CHUNK`` trees at a time."""
+    for start in range(0, samples, UGW_CHUNK):
+        yield np.arange(start, min(start + UGW_CHUNK, samples), dtype=np.uint64)
 
 
 def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     """Sample a unimodular Galton-Watson tree truncated at ``depth``.
 
-    Vertex 0 is the root; vertices at distance ``depth`` get no children.
-    Deterministic for a fixed seed (ints and (master, index) tuples both work).
+    Vertex 0 is the root; vertices at distance ``depth`` get no children. A seed (master, i) gives
+    sample i of ``estimate_sphere`` and ``estimate_walk_moment`` with master seed ``master``; an int
+    seed s means (s, 0).
     """
-    children, _ = _tree_lists(*_generations(_inverse_cdfs(pi), depth, np.random.default_rng(seed)))
-    edges = [(v, w) for v, kids in enumerate(children) for w in kids]
-    return RootedTree(build_graph(edges, len(children)), 0, depth)
+    master, index = seed if isinstance(seed, tuple) else (seed, 0)
+    (counts, _), = _generations(_inverse_cdfs(pi), depth, _philox_key(master),
+                                np.array([index], np.uint64))
+    flat = np.concatenate([np.zeros(0, np.int64)] + counts)  # level order: children are consecutive
+    parents = np.repeat(np.arange(len(flat)), flat).tolist()
+    edges = list(zip(parents, range(1, len(parents) + 1)))
+    return RootedTree(build_graph(edges, len(parents) + 1), 0, depth)
 
 
 @dataclass(frozen=True)
@@ -226,21 +302,42 @@ def _aggregate(values: Sequence[float], samples: int, seed) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
+def _walk_series(counts: list[np.ndarray], last: np.ndarray, k: int, dtype) -> np.ndarray:
+    """W_2k at the root of each tree grown by ``_generations`` to depth k, run leaf-up one level
+    at a time.
+
+    The branch of a depth-h vertex has E = 1 / (1 - z * sum of its children's E), kept to order
+    k - h (Hoory 2005); the walks are the coefficient of z^k in the root's E. This is the series
+    of ``branch_series`` with unit weights, over whole levels of a chunk of trees at once.
+    """
+    series = np.ones((int(last.sum()), k + 1 - len(counts)), dtype)
+    for h in range(len(counts) - 1, -1, -1):
+        kids = counts[h]
+        sums = np.zeros((len(kids), k - h), dtype)  # sums[v, i] = sum_{children c of v} E_c[i]
+        if series.size:
+            has = kids > 0
+            sums[has] = np.add.reduceat(series, (np.cumsum(kids) - kids)[has], axis=0)
+        series = np.zeros((len(kids), k - h + 1), dtype)
+        series[:, 0] = 1
+        for j in range(1, k - h + 1):
+            series[:, j] = (sums[:, :j] * series[:, j - 1::-1]).sum(axis=1)
+    return series[:, k]
+
+
 def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> Estimate:
     """Estimate E[W_2k(T, root)] over unimodular Galton-Watson trees.
 
-    Each sample grows a depth-k tree (walks of length 2k never go deeper) and
-    counts its closed walks exactly with ``branch_series``, run leaf-up: the
-    branch of a vertex at depth h is its subtree of children, kept to order k - h.
+    Each sample grows a depth-k tree (walks of length 2k never go deeper) and counts its
+    closed walks exactly with the leaf-up branch series, a chunk of trees at a time. The
+    counts are int64 when D_max^(2k) < 2^63 bounds them, Python ints otherwise.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
-    laws = _inverse_cdfs(pi)
-    values = []
-    for i in range(samples):
-        children, depth = _tree_lists(*_generations(laws, k, np.random.default_rng((seed, i))))
-        values.append(float(branch_series(children, [k - h for h in depth])[0][k]))
-    return _aggregate(values, samples, seed)
+    laws, key = _inverse_cdfs(pi), _philox_key(seed)
+    dtype = np.int64 if pi.max_degree ** (2 * k) < 2 ** 63 else object
+    values = [_walk_series(counts, last, k, dtype).astype(np.float64)
+              for trees in _chunks(samples) for counts, last in _generations(laws, k, key, trees)]
+    return _aggregate(np.concatenate(values), samples, seed)
 
 
 def exact_sphere_expectation(pi: DegreeDistribution, r: int) -> float:
@@ -256,17 +353,16 @@ def estimate_sphere(
 ) -> tuple[Estimate, float]:
     """Monte Carlo estimate of E[|S_r|] plus the exact branching value.
 
-    Only generation sizes are kept: the tree grows through ``_generations``, with the
-    draws and the node budget of ``sample_ugw``, which keeps 1e5-sample runs cheap.
+    Only the size of the last generation is kept: the trees grow through ``_generations``, with
+    the draws and the node budget of ``sample_ugw``.
     """
     if r < 1:
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
-    laws = _inverse_cdfs(pi)
-    values = [float(_generations(laws, r, np.random.default_rng((seed, i)))[1])
-              for i in range(samples)]
-    return _aggregate(values, samples, seed), exact_sphere_expectation(pi, r)
+    laws, key = _inverse_cdfs(pi), _philox_key(seed)
+    values = [last for trees in _chunks(samples) for _, last in _generations(laws, r, key, trees)]
+    return _aggregate(np.concatenate(values), samples, seed), exact_sphere_expectation(pi, r)
 
 
 def regular_tree_walks(d: int, kmax: int) -> tuple[int, ...]:

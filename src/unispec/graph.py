@@ -163,8 +163,6 @@ def _checked_graph(edges: Iterable[tuple[int, int]], n: int, label) -> Graph:
             raise GraphInputError(f"{label(i)}: duplicate edge ({u}, {v})")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    if n < 0:  # reached without edges only: any edge is out of range first
-        raise GraphInputError(f"vertex count must be nonnegative, got {n}")
     return Graph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
@@ -411,6 +409,8 @@ def _parse_edge_lines(lines: Iterable[str]) -> tuple[list[tuple[int, int, int]],
                 n = int(tokens[1])
             except ValueError:
                 raise GraphInputError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
+            if n < 0:
+                raise GraphInputError(f"line {lineno}: vertex count must be nonnegative, got {n}")
             saw_data = True
             continue
         saw_data = True

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from unispec import bounds, cover, ensembles, nbw, spectra
+from unispec import bounds, cli, cover, ensembles, nbw, spectra
 from unispec.cli import run
 
 
@@ -191,6 +195,18 @@ def test_sample_sphere_node_budget(capsys):
                                "--stat", "sphere", "--r", r)
         assert code == 2, r
         assert "budget" in err
+
+
+def test_module_entry_point_runs_the_command():
+    # `python -m unispec.cli` from a source checkout runs the subcommand, not a silent exit 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "unispec.cli", "sample", "ugw", "--pi", "2:1",
+                           "--stat", "sphere", "--samples", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["mean"] == 2.0
 
 
 def test_sample_bad_pi(capsys):

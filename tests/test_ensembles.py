@@ -182,6 +182,81 @@ def test_estimates_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("master", [0, 12345, 2**40 + 3])
+def test_uniforms_are_numpy_philox_streams(monkeypatch, master):
+    # the stream layout: generation g of sample i draws Generator(Philox(key, counter=[0, g, i, 0]))
+    key = ensembles._philox_key(master)
+    trees = np.array([0, 2, 2**32 + 5, 2**40, 2**63 + 1], np.uint64)
+    sizes = np.array([1, 0, 5, 9, 4])
+    pieces = (ensembles._PHILOX_SLICE, 3)  # slices of 3 blocks cut through trees
+    for g in (0, 1, 5):
+        counters = [np.array([0, g, i, 0], np.uint64) for i in trees]  # a list rounds past 2^63
+        expected = np.concatenate([np.random.Generator(np.random.Philox(key=key, counter=c))
+                                   .random(s) for c, s in zip(counters, sizes)])
+        for piece in pieces:
+            monkeypatch.setattr(ensembles, "_PHILOX_SLICE", piece)
+            assert np.array_equal(ensembles._uniforms(key, g, trees, sizes), expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_estimates_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    expected = (estimate_sphere(UNIFORM_23, 4, samples=20, seed=13),
+                estimate_walk_moment(UNIFORM_23, 4, samples=20, seed=13))
+    monkeypatch.setattr(ensembles, "UGW_CHUNK", chunk)
+    assert (estimate_sphere(UNIFORM_23, 4, samples=20, seed=13),
+            estimate_walk_moment(UNIFORM_23, 4, samples=20, seed=13)) == expected
+
+
+def test_fewer_samples_are_a_prefix(monkeypatch):
+    # sample i depends on (seed, i) alone, across the chunk boundary too
+    seen = []
+    aggregate = ensembles._aggregate
+
+    def recording(values, *rest):
+        seen.append(list(values))
+        return aggregate(values, *rest)
+
+    monkeypatch.setattr(ensembles, "_aggregate", recording)
+    many = ensembles.UGW_CHUNK + 5
+    for samples in (7, many):
+        estimate_sphere(UNIFORM_23, 3, samples=samples, seed=4)
+        estimate_walk_moment(UNIFORM_23, 3, samples=samples, seed=4)
+    assert seen[0] == seen[2][:7] and seen[1] == seen[3][:7]
+    assert len(seen[2]) == len(seen[3]) == many
+
+
+def test_chunk_over_the_budget_is_split(monkeypatch):
+    # a depth-5 tree of UNIFORM_23 has at most 1 + 3 + 6 + 12 + 24 + 48 = 94 vertices, and
+    # at least 11, so 40 of them pass a budget of 100 together but never alone
+    expected = (estimate_sphere(UNIFORM_23, 5, samples=40, seed=2),
+                estimate_walk_moment(UNIFORM_23, 5, samples=40, seed=2))
+    monkeypatch.setattr(ensembles, "UGW_NODE_BUDGET", 100)
+    assert (estimate_sphere(UNIFORM_23, 5, samples=40, seed=2),
+            estimate_walk_moment(UNIFORM_23, 5, samples=40, seed=2)) == expected
+    runs = list(ensembles._generations(ensembles._inverse_cdfs(UNIFORM_23), 5,
+                                       ensembles._philox_key(2), np.arange(40, dtype=np.uint64)))
+    assert len(runs) > 1
+    assert all(sum(map(len, counts)) + last.sum() <= 100 for counts, last in runs)
+    assert sum(len(last) for _, last in runs) == 40
+
+
+def test_tree_over_the_budget_raises(monkeypatch):
+    # a depth-3 tree of the 3-regular law has 1 + 3 + 6 + 12 = 22 vertices
+    monkeypatch.setattr(ensembles, "UGW_NODE_BUDGET", 21)
+    for call in (lambda: sample_ugw(DELTA_3, 3, seed=0),
+                 lambda: estimate_sphere(DELTA_3, 3, samples=5, seed=0),
+                 lambda: estimate_walk_moment(DELTA_3, 3, samples=5, seed=0)):
+        with pytest.raises(graph.BudgetError, match="^UGW sample exceeded node budget 21$"):
+            call()
+    monkeypatch.setattr(ensembles, "UGW_NODE_BUDGET", 22)
+    assert sample_ugw(DELTA_3, 3, seed=0).graph.vertex_count == 22
+
+
+def test_walk_moment_past_int64():
+    # W_68 of the line is binom(68, 34) ~ 2.8e19 > 2^63: the counts must not wrap
+    assert estimate_walk_moment(DELTA_2, 34, samples=3, seed=0).mean == float(math.comb(68, 34))
+
+
 def test_regular_tree_walks_values():
     assert regular_tree_walks(3, 2) == (1, 3, 15)
     assert regular_tree_walks(2, 5) == tuple(math.comb(2 * k, k) for k in range(6))

@@ -235,3 +235,8 @@ def test_load_graph_reports_offending_line(tmp_path):
     path.write_text("n 3\n0 1\n\n1 3\n")
     with pytest.raises(GraphInputError, match=r"line 4: endpoint out of range in \(1, 3\) for n=3"):
         load_graph(str(path))
+    for text in ("n -3\n0 1\n", "n -3\n"):  # the header is the fault, with or without edges
+        path.write_text(text)
+        message = "^line 1: vertex count must be nonnegative, got -3$"
+        with pytest.raises(GraphInputError, match=message):
+            load_graph(str(path))
