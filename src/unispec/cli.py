@@ -356,16 +356,15 @@ def _cmd_sample(cfg: RunConfig) -> int:
     pi = ensembles.DegreeDistribution.from_string(cfg.pi)
     stat = cfg.stat
     r = cfg.r if cfg.r is not None else 3
+    k = cfg.k if cfg.k is not None else 3
     exact: float | None = None
     unread = "r" if stat == "walks" else "k"
     if getattr(cfg, unread) is not None:
         raise GraphInputError(f"--stat {stat} does not read --{unread}")
     if stat == "walks":
-        if cfg.k is None:
-            raise GraphInputError("--stat walks requires --k")
-        est = ensembles.estimate_walk_moment(pi, cfg.k, cfg.samples, cfg.seed)
+        est = ensembles.estimate_walk_moment(pi, k, cfg.samples, cfg.seed)
         if pi.is_point_mass():
-            exact = float(ensembles.regular_tree_walks(pi.support[0], cfg.k)[cfg.k])
+            exact = float(ensembles.regular_tree_walks(pi.support[0], k)[k])
     else:
         est, exact = ensembles.estimate_sphere(pi, r, cfg.samples, cfg.seed)
     payload = {
@@ -460,7 +459,7 @@ _FLAGS = {
     "--pi": {"required": True, "help": 'degree law, e.g. "2:0.5,3:0.5"'},
     "--samples": {"type": int, "default": 1000},
     "--stat": {"choices": ("walks", "sphere"), "default": "walks"},
-    "--k": {"type": int, "help": "walk-length parameter (counts walks of length 2k)"},
+    "--k": {"type": int, "help": "walk-length parameter (counts walks of length 2k; default 3)"},
     "--r": {"type": int, "help": "sphere radius (default 3)"},
     "--kmax": {"type": int},
     "--radius": {"type": int},

@@ -41,7 +41,8 @@ __all__ = [
 
 EXACT_CANON_LIMIT = 40
 # legitimate desk-scale balls refine almost immediately (grid/cycle/Petersen
-# balls use < 30 search nodes); only factorially symmetric balls hit the cap
+# balls use < 30 search nodes), and automorphism pruning keeps symmetric ones
+# far below the cap (the 40-vertex ball of K_40 takes 780 nodes)
 CANON_SEARCH_CAP = 5_000
 UGW_NODE_BUDGET = 1_000_000
 # trees the estimators grow together; any chunking gives the same samples. Larger chunks
@@ -231,36 +232,38 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
     Generation g lists the child counts of its vertices tree-major, each tree's vertices in level
     order, so the children of a vertex are consecutive in generation g + 1. The root's degree
     comes from pi, then one size-biased offspring draw per vertex; a generation empty in every
-    tree ends the list.
+    tree of the run ends the list.
 
     The only ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every vertex, the last level
-    too, raises. A run of trees that passes it together is split in two and grown again, so no run
-    yielded holds more vertices than the budget. Each draw depends only on its counter, so the trees
+    too, raises. A run of trees that passes it together is split in two, each half keeping its share
+    of the generations drawn and growing on from there, so no run yielded holds more vertices than
+    the budget and no vertex is drawn twice. Each draw depends only on its counter, so the trees
     never depend on the split.
     """
     if depth < 0:
         raise GraphInputError(f"depth must be nonnegative, got {depth}")
-    (values, cum), offspring = laws
-    counts = []
-    sizes = np.ones(len(trees), np.int64)
-    totals = sizes.copy()
-    for g in range(depth):
-        if not sizes.any():
-            break
-        drawn = values[cum.searchsorted(_uniforms(key, g, trees, sizes))]
-        counts.append(drawn)
-        owner = np.repeat(np.arange(len(trees)), sizes)
-        sizes = np.bincount(owner, drawn, len(trees)).astype(np.int64)
-        totals += sizes
+    runs = [(trees, [], [np.ones(len(trees), np.int64)])]  # (trees, child counts, level sizes)
+    while runs:
+        trees, counts, levels = runs.pop()  # levels[g][t]: vertices of tree t in generation g
+        totals = sum(levels)
+        while len(counts) < depth and levels[-1].any() and totals.sum() <= UGW_NODE_BUDGET:
+            values, cum = laws[1] if counts else laws[0]
+            drawn = values[cum.searchsorted(_uniforms(key, len(counts), trees, levels[-1]))]
+            owner = np.repeat(np.arange(len(trees)), levels[-1])
+            counts.append(drawn)
+            levels.append(np.bincount(owner, drawn, len(trees)).astype(np.int64))
+            totals += levels[-1]
         if totals.max() > UGW_NODE_BUDGET:
             raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
-        if totals.sum() > UGW_NODE_BUDGET:
-            del counts, drawn  # the halves regrow them; free them first
-            for half in np.array_split(trees, 2):
-                yield from _generations(laws, depth, key, half)
-            return
-        values, cum = offspring
-    yield counts, sizes
+        if totals.sum() <= UGW_NODE_BUDGET:
+            yield counts, levels[-1]
+            continue
+        half = (len(trees) + 1) // 2  # at least two trees, as none passes the budget alone
+        cuts = [int(level[:half].sum()) for level in levels[:-1]]
+        runs.append((trees[half:], [c[k:] for c, k in zip(counts, cuts)],
+                     [level[half:] for level in levels]))
+        runs.append((trees[:half], [c[:k] for c, k in zip(counts, cuts)],
+                     [level[:half] for level in levels]))  # popped first, to keep tree order
 
 
 def _chunks(samples: int):
@@ -409,7 +412,8 @@ def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
         colors = new_colors
 
 
-def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple:
+def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple[tuple, list[int]]:
+    """The code of a discrete colouring, and its vertex order (the vertex at each label)."""
     order = sorted(range(len(adj)), key=colors.__getitem__)
     label = [0] * len(adj)
     for pos, v in enumerate(order):
@@ -417,31 +421,86 @@ def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple:
     edges = sorted(
         (label[u], label[v]) for u in range(len(adj)) for v in adj[u] if label[u] < label[v]
     )
-    return (len(adj), tuple(edges))
+    return (len(adj), tuple(edges)), order
+
+
+def _search_node(adj: list[list[int]], colors: list[int], budget: list[int]):
+    """Visit a search node: its refined colouring and target cell, None once discrete."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _CanonBudget
+    colors = _refine(adj, colors)
+    if len(set(colors)) == len(adj):
+        return colors, None
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    return colors, by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
 
 
 def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: bool) -> tuple:
     # budget counts search nodes, so walls of equal-code branches on highly
     # symmetric balls cannot stall the census; exhaustion degrades to hashing.
+    # A child individualizes v with the fresh color n, larger than any refined id.
     # On a coloured tree the stable cells are automorphism orbits (a tree is its
     # own unfolding), so every branch gives the same code and one is searched;
     # a loop searches it, as a big tree ball needs more levels than Python recurses
     n = len(adj)
-    while True:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _CanonBudget
-        colors = _refine(adj, colors)
-        if len(set(colors)) == n:
-            return _code_from_discrete(adj, colors)
-        by_color: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            by_color.setdefault(c, []).append(v)
-        cell = by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
-        if not tree:  # individualize v with the fresh color n, larger than any refined id
-            return min(_min_code(adj, colors[:v] + [n] + colors[v + 1:], budget, tree)
-                       for v in cell)
-        colors = colors[:cell[0]] + [n] + colors[cell[0] + 1:]
+    if tree:
+        while True:
+            colors, cell = _search_node(adj, colors, budget)
+            if cell is None:
+                return _code_from_discrete(adj, colors)[0]
+            colors = colors[:cell[0]] + [n] + colors[cell[0] + 1:]
+    # A cyclic ball is searched with automorphism pruning (McKay & Piperno 2014). Two leaves
+    # with one code give an automorphism of the rooted ball (the root is label 0 of every
+    # code), and refinement commutes with automorphisms, so one that fixes a node's prefix
+    # maps the subtree of one child onto the subtree of another, leaf codes included. The
+    # skipped subtrees repeat codes already seen, so the minimum is the full search's.
+    leaves: dict[tuple, tuple[list[int], list[int]]] = {}  # code -> (vertex order, prefix)
+    automorphisms: list[list[int]] = []
+
+    def search(colors: list[int], prefix: list[int]) -> int | None:
+        """Search below the node that individualized ``prefix``. A leaf that repeats a code
+        returns the depth where its prefix leaves the stored one's: the automorphism maps the
+        stored leaf's subtree there onto this one, so the search abandons it (jump-back)."""
+        colors, cell = _search_node(adj, colors, budget)
+        if cell is None:
+            code, order = _code_from_discrete(adj, colors)
+            if code not in leaves:
+                leaves[code] = order, prefix
+                return None
+            stored, stored_prefix = leaves[code]
+            image = [0] * n
+            for u, v in zip(stored, order):
+                image[u] = v
+            automorphisms.append(image)
+            return next(i for i, (u, v) in enumerate(zip(prefix, stored_prefix)) if u != v)
+        orbit = list(range(n))  # union-find over the automorphisms that fix prefix pointwise
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        used, explored = 0, []
+        for v in cell:
+            for image in automorphisms[used:]:
+                if all(image[p] == p for p in prefix):
+                    for u, w in enumerate(image):
+                        orbit[find(u)] = find(w)
+            used = len(automorphisms)
+            if find(v) in {find(u) for u in explored}:
+                continue
+            explored.append(v)
+            jump = search(colors[:v] + [n] + colors[v + 1:], prefix + [v])
+            if jump is not None and jump < len(prefix):
+                return jump
+        return None
+
+    search(colors, [])
+    return min(leaves)
 
 
 def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
@@ -450,9 +509,12 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     Exact canonical form (minimum code over refinement-individualized
     orderings). A tree ball takes one branch per search level, so it is exact at
     any size; a cyclic ball is searched only up to ``EXACT_CANON_LIMIT`` vertices
-    and ``CANON_SEARCH_CAP`` search nodes. Larger or exhausted cyclic balls fall
-    back to an iterative-refinement hash, flagged non-exact, which can in
-    principle collide for refinement-equivalent non-isomorphic balls.
+    and ``CANON_SEARCH_CAP`` search nodes, with automorphism pruning: a node skips
+    children in the orbit of an explored one, and a leaf that repeats a code jumps
+    back past the subtree an automorphism maps onto an explored one. Cyclic balls
+    above the limit, or the rare one that exhausts the cap, fall back to an
+    iterative-refinement hash, flagged non-exact, which can in principle collide
+    for refinement-equivalent non-isomorphic balls.
     """
     adj, _, init = _ball_adjacency(g, root, radius)  # colored by distance: the root alone at 0
     tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected

@@ -154,6 +154,14 @@ def test_sample_walks_point_mass(capsys):
     assert report["seed"] == 42
 
 
+def test_sample_defaults_alone_run(capsys):
+    # the default --stat walks reads k = 3: W_6 of the 2-regular tree is C(6, 3)
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1", "--samples", "2")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["exact"] == report["mean"] == 20.0
+
+
 def test_sample_sphere(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "ugw", "--pi", "2:0.5,3:0.5", "--samples", "2000",

@@ -240,6 +240,19 @@ def test_chunk_over_the_budget_is_split(monkeypatch):
     assert sum(len(last) for _, last in runs) == 40
 
 
+def test_split_chunk_draws_each_vertex_once(monkeypatch):
+    # 64 depth-5 trees of the 10-regular law pass the budget together, so the chunk halves three
+    # times; each half keeps the generations already drawn, 1 + 10 + 90 + 810 + 7290 per tree
+    drawn = []
+    uniforms = ensembles._uniforms
+    monkeypatch.setattr(ensembles, "_uniforms",
+                        lambda key, g, trees, sizes: drawn.append(int(sizes.sum()))
+                        or uniforms(key, g, trees, sizes))
+    pi = DegreeDistribution.from_string("10:1")
+    assert estimate_sphere(pi, 5, 64, 0) == (ensembles.Estimate(65610.0, 0.0, 64, 0), 65610.0)
+    assert sum(drawn) == 64 * 8201
+
+
 def test_tree_over_the_budget_raises(monkeypatch):
     # a depth-3 tree of the 3-regular law has 1 + 3 + 6 + 12 = 22 vertices
     monkeypatch.setattr(ensembles, "UGW_NODE_BUDGET", 21)
@@ -315,16 +328,24 @@ def test_census_relabel_invariance():
         assert ball_census(g, 2).counts == ball_census(relabeled, 2).counts
 
 
-def test_census_hash_degradation_flagged():
+def test_census_hash_degradation_flagged(monkeypatch):
     big = generate("complete", 45)
     census = ball_census(big, 1)
     assert not census.exact
     assert list(census.counts.values()) == [45]
     code, exact = canonical_rooted_code(big, 0, 1)
     assert code.startswith("h") and not exact
-    # K_9's radius-1 ball is small enough to search, but cyclic: it exhausts CANON_SEARCH_CAP
-    code, exact = canonical_rooted_code(generate("complete", 9), 0, 1)
+    # K_9's radius-1 ball is cyclic; automorphism pruning searches it in 36 nodes, where the
+    # full search needs 5,001, so it stays exact under a cap of 100 and hashes under one of 10
+    k9 = generate("complete", 9)
+    code, exact = canonical_rooted_code(k9, 0, 1)
+    assert code.startswith("g9:") and exact
+    monkeypatch.setattr(ensembles, "CANON_SEARCH_CAP", 100)
+    assert canonical_rooted_code(k9, 0, 1) == (code, True)
+    monkeypatch.setattr(ensembles, "CANON_SEARCH_CAP", 10)
+    code, exact = canonical_rooted_code(k9, 0, 1)
     assert code.startswith("h9:") and not exact
+    monkeypatch.undo()
     # EXACT_CANON_LIMIT (40) bounds cyclic balls: the centre of grid:9 has a 41-vertex ball
     code, exact = canonical_rooted_code(generate("grid", 9), 40, 4)
     assert code.startswith("h41:") and not exact
@@ -374,6 +395,59 @@ def _cone(cycle_lengths):
     return build_graph(edges + [(0, v) for v in range(1, start)], start)
 
 
+def _full_search_code(adj, colors):
+    """The minimum leaf code over every branch of the individualization tree, with no pruning:
+    the oracle for the automorphism-pruned search of ``ensembles._min_code``."""
+    colors = ensembles._refine(adj, colors)
+    n = len(adj)
+    if len(set(colors)) == n:
+        return ensembles._code_from_discrete(adj, colors)[0]
+    target = min(c for c in colors if colors.count(c) > 1)
+    return min(_full_search_code(adj, colors[:v] + [n] + colors[v + 1:])
+               for v in range(n) if colors[v] == target)
+
+
+def test_pruned_search_matches_the_full_search():
+    # balls with large automorphism groups, where orbit pruning and jump-back skip the most
+    cases = [(generate("complete", n), [0], 1) for n in range(2, 9)]
+    cases += [(generate("grid", 7), [24, 17, 3, 0], r) for r in (2, 3)]  # interior, edge, corner
+    cases += [(generate("random_regular", 40, 3, seed=5), range(40), 3)]
+    # refinement cells that are not orbits: the first child alone misses the minimum of some
+    cases += [(_cone((3, 4)), [0], 1), (_cone((4, 3)), [0], 1)]
+    cyclic = 0
+    for g, roots, radius in cases:
+        for root in roots:
+            adj, _, dist = walks._ball_adjacency(g, root, radius)
+            if sum(map(len, adj)) == 2 * (len(adj) - 1):
+                continue  # a tree ball takes the one-branch loop
+            cyclic += 1
+            assert ensembles._min_code(adj, dist, [10**9], False) == _full_search_code(adj, dist)
+    assert cyclic >= 20
+
+
+def test_pruned_search_is_label_invariant_on_strongly_regular_components():
+    # a cone over the Shrikhande graph (Cayley graph of Z4 x Z4, steps +-(0,1), +-(1,0), +-(1,1))
+    # and the 4 x 4 rook's graph: both strongly regular (16, 6, 2, 2), so refinement splits no
+    # cell of either. Automorphisms found below a rook vertex move Shrikhande vertices freely;
+    # pruning a Shrikhande node's children with ones that do not fix its prefix changes the code
+    # under some labellings (seed 11 below)
+    cells = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+    shrikhande = [(a, b) for a, b in cells
+                  if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in {(0, 1), (0, 3), (1, 0), (3, 0),
+                                                                       (1, 1), (3, 3)}]
+    rook = [(a, b) for a, b in cells if a // 4 == b // 4 or a % 4 == b % 4]
+    edges = ([(a + 1, b + 1) for a, b in shrikhande] + [(a + 17, b + 17) for a, b in rook]
+             + [(0, v) for v in range(1, 33)])
+    codes = set()
+    for seed in range(12):
+        perm = np.random.default_rng(seed).permutation(33)
+        cone = build_graph([(int(perm[u]), int(perm[v])) for u, v in edges], 33)
+        code, exact = canonical_rooted_code(cone, int(perm[0]), 1)
+        assert exact
+        codes.add(code)
+    assert len(codes) == 1
+
+
 def test_canonical_codes_agree_with_vf2():
     # equal codes exactly when networkx finds a distance-preserving isomorphism
     nx = pytest.importorskip("networkx")
@@ -382,9 +456,9 @@ def test_canonical_codes_agree_with_vf2():
     rng = np.random.default_rng(17)
     graphs = [generate("random_regular", 40, 3, seed=3), generate("grid", 5),
               random_connected_graph(16, 6, rng), random_connected_graph(16, 2, rng),
-              _cone((3, 4)), _cone((4, 3))]
+              _cone((3, 4)), _cone((4, 3)), generate("complete", 6), generate("complete", 7)]
     balls = []
-    for g, radius in [(g, 2) for g in graphs] + [(graphs[0], 3)]:
+    for g, radius in [(g, 2) for g in graphs] + [(graphs[0], 3), (generate("grid", 6), 3)]:
         for root in range(g.vertex_count):
             code, exact = canonical_rooted_code(g, root, radius)
             assert exact
