@@ -4,6 +4,7 @@ associated average-degree lower bounds."""
 
 from .graph import (
     BudgetError,
+    DegreeDistribution,
     DegreeStats,
     DirectedEdge,
     Graph,
@@ -71,7 +72,6 @@ from .nbw import (
 )
 from .ensembles import (
     Census,
-    DegreeDistribution,
     Estimate,
     RootedTree,
     ball_census,
@@ -86,6 +86,7 @@ from .ensembles import (
 from .bounds import (
     AlonBoppanaRow,
     BoundReport,
+    alon_boppana_degree_bound,
     alon_boppana_report,
     hoory_bound,
     sphere_growth_bounds,

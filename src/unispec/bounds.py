@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .graph import DegreeStats, Graph, GraphInputError, degree_stats
-from .ensembles import DegreeDistribution
+from .graph import DegreeDistribution, DegreeStats, Graph, GraphInputError, degree_stats
 from .spectra import adjacency_spectrum, sigma
 
 __all__ = [
     "AlonBoppanaRow",
     "BoundReport",
+    "alon_boppana_degree_bound",
     "alon_boppana_report",
     "hoory_bound",
     "sphere_growth_bounds",
@@ -29,6 +29,12 @@ __all__ = [
     "tree_spectral_radius_bounds",
     "tree_srw_radius_bounds",
 ]
+
+
+def alon_boppana_degree_bound(stats: DegreeStats | DegreeDistribution) -> float:
+    """2 sqrt(max(d_av - 1, 0)), the spectral radius of the d_av-regular tree: the Alon-Boppana
+    benchmark of a graph's degrees, and the second tree-radius bound of a leafless law."""
+    return 2.0 * math.sqrt(max(stats.d_av - 1.0, 0.0))
 
 
 def _require_leafless(stats: DegreeStats | DegreeDistribution) -> None:
@@ -46,8 +52,7 @@ def tree_spectral_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tupl
     """
     _require_leafless(stats)
     b1 = 2.0 * math.exp(stats.dlog_mean / (2.0 * stats.d_av))
-    b2 = 2.0 * math.sqrt(stats.d_av - 1.0)
-    return b1, b2
+    return b1, alon_boppana_degree_bound(stats)
 
 
 def tree_srw_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tuple[float, float]:
@@ -57,8 +62,7 @@ def tree_srw_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tuple[flo
     """
     _require_leafless(stats)
     b1 = 2.0 * math.exp((stats.dlog_mean / 2.0 - stats.dlogd_mean) / stats.d_av)
-    b2 = 2.0 * stats.d_av * math.sqrt(stats.d_av - 1.0) / stats.d2_mean
-    return b1, b2
+    return b1, stats.d_av * alon_boppana_degree_bound(stats) / stats.d2_mean
 
 
 def hoory_bound(stats: DegreeStats | DegreeDistribution) -> float:
@@ -156,7 +160,7 @@ def alon_boppana_report(graphs: Sequence[Graph], j: int) -> list[AlonBoppanaRow]
             raise GraphInputError("alon_boppana_report requires connected graphs")
         stats = degree_stats(g)
         s = sigma(adjacency_spectrum(g).measure, j)
-        bound = 2.0 * math.sqrt(max(stats.d_av - 1.0, 0.0))
+        bound = alon_boppana_degree_bound(stats)
         rows.append(AlonBoppanaRow(stats.n, s, bound, s - bound))
     return rows
 

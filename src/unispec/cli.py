@@ -20,6 +20,7 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from . import ensembles, nbw, spectra, walks
 from .graph import (
+    DegreeDistribution,
     DegreeStats,
     Graph,
     GraphInputError,
@@ -286,7 +287,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     report_markov = spectra.markov_spectrum(g) if g.min_degree >= 1 else None
     bound_values: dict[str, object] = {
         "alon_boppana_degree_bound": {
-            "value": 2.0 * math.sqrt(max(stats.d_av - 1.0, 0.0)),
+            "value": bounds_mod.alon_boppana_degree_bound(stats),
             "provenance": "exact",
         }
     }
@@ -353,7 +354,7 @@ def _cmd_cover(cfg: RunConfig) -> int:
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
-    pi = ensembles.DegreeDistribution.from_string(cfg.pi)
+    pi = DegreeDistribution.from_string(cfg.pi)
     stat = cfg.stat
     r = cfg.r if cfg.r is not None else 3
     k = cfg.k if cfg.k is not None else 3

@@ -28,7 +28,14 @@ NODE_BUDGET_ENV = "UNISPEC_NODE_BUDGET"
 
 def _node_budget() -> int:
     env = os.environ.get(NODE_BUDGET_ENV)
-    return int(env) if env else NODE_BUDGET_DEFAULT
+    if not env:
+        return NODE_BUDGET_DEFAULT
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    raise GraphInputError(f"{NODE_BUDGET_ENV} must be a positive integer, got {env!r}")
 
 
 @dataclass(frozen=True)

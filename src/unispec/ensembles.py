@@ -21,12 +21,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import BudgetError, Graph, GraphInputError, build_graph
+from .graph import BudgetError, DegreeDistribution, Graph, GraphInputError, build_graph
 from .walks import _ball_adjacency, branch_series
 
 __all__ = [
     "Census",
-    "DegreeDistribution",
     "Estimate",
     "RootedTree",
     "ball_census",
@@ -52,114 +51,6 @@ UGW_CHUNK = 1024
 _PHILOX_SLICE = 1 << 14  # counter blocks per Philox evaluation
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """A finitely supported root-degree law with its moments.
-
-    The moments carry the names of the ``DegreeStats`` fields, so every bound reads
-    either type; a finite graph with a uniform root is the law of its degrees. As
-    there, the log-based moments are None when degree 1 is in the support. Rational
-    probabilities (Fractions) keep the size-biased construction exact.
-    """
-
-    support: tuple[int, ...]
-    probabilities: tuple
-
-    def __post_init__(self):
-        if len(self.support) != len(self.probabilities) or not self.support:
-            raise GraphInputError("support and probabilities must align and be nonempty")
-        if list(self.support) != sorted(set(self.support)):
-            raise GraphInputError("support must be strictly increasing degrees")
-        if any(d < 1 for d in self.support):
-            raise GraphInputError("degrees must be >= 1")
-        for d, p in zip(self.support, self.probabilities):
-            if not 0 < p <= 1:
-                raise GraphInputError(f"probability of degree {d} is not in (0, 1]; drop zero atoms")
-        total = sum(map(Fraction, self.probabilities))  # exact, so no float can overflow
-        if abs(total - 1) > 1e-12:
-            raise GraphInputError(f"probabilities sum to {float(total)}")
-
-    @classmethod
-    def build(cls, pairs) -> "DegreeDistribution":
-        items = sorted(pairs)
-        return cls(tuple(d for d, _ in items), tuple(p for _, p in items))
-
-    @classmethod
-    def from_string(cls, text: str) -> "DegreeDistribution":
-        """Parse "2:0.5,3:0.5"; decimal probabilities become exact Fractions."""
-        pairs = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                d_text, p_text = part.split(":")
-                pairs.append((int(d_text), Fraction(p_text)))
-            except (ValueError, ZeroDivisionError):
-                raise GraphInputError(f"bad degree:probability pair {part!r}") from None
-        return cls.build(pairs)
-
-    def _moment(self, f) -> float:
-        return float(sum(p * f(d) for d, p in zip(self.support, self.probabilities)))
-
-    @property
-    def d_av(self) -> float:
-        return self._moment(lambda d: d)
-
-    @property
-    def d2_mean(self) -> float:
-        return self._moment(lambda d: d * d)
-
-    @property
-    def mean_d_dm1(self) -> float:
-        """E[D (D - 1)], the mean offspring count of non-root vertices."""
-        return self._moment(lambda d: d * (d - 1))
-
-    @property
-    def dlog_mean(self) -> float | None:
-        """E[D log(D - 1)]; None with degree 1 in the support."""
-        if self.min_degree < 2:
-            return None
-        return self._moment(lambda d: d * math.log(d - 1))
-
-    @property
-    def dlogd_mean(self) -> float:
-        return self._moment(lambda d: d * math.log(d))
-
-    @property
-    def hoory_lambda(self) -> float | None:
-        """prod_d (d - 1)^(d pi(d) / E[D]); None with degree 1 in the support."""
-        if self.min_degree < 2:
-            return None
-        mean = self.d_av
-        lam = 1.0
-        for d, p in zip(self.support, self.probabilities):
-            lam *= float(d - 1) ** (d * float(p) / mean)
-        return lam
-
-    @property
-    def min_degree(self) -> int:
-        return self.support[0]
-
-    @property
-    def max_degree(self) -> int:
-        return self.support[-1]
-
-    def is_point_mass(self) -> bool:
-        return len(self.support) == 1
-
-    def size_biased_offspring(self) -> tuple[tuple[int, object], ...]:
-        """Offspring law of non-root vertices: P(k - 1) = k pi(k) / E[D].
-
-        Exact (Fraction) whenever the input probabilities are exact; the
-        probabilities sum to 1 identically.
-        """
-        mean = sum(d * p for d, p in zip(self.support, self.probabilities))
-        return tuple(
-            (d - 1, d * p / mean) for d, p in zip(self.support, self.probabilities)
-        )
 
 
 class RootedTree(NamedTuple):
@@ -372,10 +263,11 @@ def regular_tree_walks(d: int, kmax: int) -> tuple[int, ...]:
     """Exact closed-walk counts W_2k from a vertex of the infinite d-regular tree.
 
     Two branch classes: a non-root vertex has d - 1 child branches like itself
-    (class 0), the root has d of them (class 1). O(kmax^2) integer work.
+    (class 0), the root has d of them (class 1). O(kmax^2) integer work. The
+    1-regular tree is K_2, with W_2k = 1.
     """
-    if d < 2:
-        raise GraphInputError(f"regular tree degree must be >= 2, got {d}")
+    if d < 1:
+        raise GraphInputError(f"regular tree degree must be >= 1, got {d}")
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     return tuple(branch_series([[0] * (d - 1), [0] * d], [kmax, kmax])[1])

@@ -1,10 +1,11 @@
-"""Immutable simple-graph container, generators, degree functionals, core peeling."""
+"""Immutable simple-graph container, generators, degree laws and their moments, core peeling."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -12,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "BudgetError",
+    "DegreeDistribution",
     "DegreeStats",
     "DirectedEdge",
     "Graph",
@@ -293,6 +295,34 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
 # ----------------------------------------------------------------------------
 
 
+def _degree_moments(atoms: Sequence[tuple[int, object]], total) -> dict[str, float | None]:
+    """The five moments, by ``DegreeStats`` field name, of weighted degree atoms (d, w) of
+    total weight ``total``: a graph passes (deg v, 1) per vertex in vertex order with total n,
+    a law its support and probabilities with total 1.
+
+    Each mean is float(sum w f(d) / total), so a Fraction law is summed exactly, and d log d
+    is 0 at d = 0. The log-based moments are None when an atom has d <= 1. ``hoory_lambda``
+    stays a product and ``dlog_mean`` a sum: ``hoory_lambda_two_forms`` and
+    ``hoory_equals_entropy_bound`` compare the two forms.
+    """
+    def mean(f) -> float:
+        return float(sum(w * f(d) for d, w in atoms) / total)
+
+    leafless = min(d for d, _ in atoms) >= 2
+    lam = None
+    if leafless:
+        deg_sum, lam = float(sum(w * d for d, w in atoms)), 1.0
+        for d, w in atoms:
+            lam *= float(d - 1) ** (d * float(w) / deg_sum)
+    return {
+        "d_av": mean(lambda d: d),
+        "d2_mean": mean(lambda d: d * d),
+        "dlog_mean": mean(lambda d: d * math.log(d - 1)) if leafless else None,
+        "dlogd_mean": mean(lambda d: d * math.log(d) if d else 0.0),
+        "hoory_lambda": lam,
+    }
+
+
 @dataclass(frozen=True)
 class DegreeStats:
     """Degree functionals consumed by the spectral and growth bounds.
@@ -319,35 +349,94 @@ def degree_stats(g: Graph) -> DegreeStats:
     n = g.vertex_count
     if n < 1:
         raise GraphInputError("degree_stats needs at least one vertex")
-    degrees = [g.degree(v) for v in range(n)]
-    m = sum(degrees) // 2
-    deg_sum = 2 * m
-    d_av = deg_sum / n
-    d2_mean = sum(d * d for d in degrees) / n
-    dlogd_mean = sum(d * math.log(d) for d in degrees if d > 0) / n
-    min_degree = min(degrees)
-    max_degree = max(degrees)
-    if min_degree >= 2:
-        dlog_mean = sum(d * math.log(d - 1) for d in degrees) / n
-        lam = 1.0
-        for d in degrees:
-            lam *= (d - 1) ** (d / deg_sum)
-        hoory_lambda: float | None = lam
-    else:
-        dlog_mean = None
-        hoory_lambda = None
-    return DegreeStats(
-        n=n,
-        m=m,
-        d_av=d_av,
-        d2_mean=d2_mean,
-        dlog_mean=dlog_mean,
-        dlogd_mean=dlogd_mean,
-        deg_sum=deg_sum,
-        hoory_lambda=hoory_lambda,
-        min_degree=min_degree,
-        max_degree=max_degree,
-    )
+    moments = _degree_moments([(len(nbrs), 1) for nbrs in g.adjacency], n)
+    return DegreeStats(n=n, m=g.edge_count, deg_sum=2 * g.edge_count, min_degree=g.min_degree,
+                       max_degree=g.max_degree, **moments)
+
+
+@dataclass(frozen=True)
+class DegreeDistribution:
+    """A finitely supported root-degree law with its moments.
+
+    The moments carry the names of the ``DegreeStats`` fields, so every bound reads
+    either type; a finite graph with a uniform root is the law of its degrees. As
+    there, the log-based moments are None when degree 1 is in the support. Rational
+    probabilities (Fractions) keep the size-biased construction exact.
+    """
+
+    support: tuple[int, ...]
+    probabilities: tuple
+
+    def __post_init__(self):
+        if len(self.support) != len(self.probabilities) or not self.support:
+            raise GraphInputError("support and probabilities must align and be nonempty")
+        if list(self.support) != sorted(set(self.support)):
+            raise GraphInputError("support must be strictly increasing degrees")
+        if any(d < 1 for d in self.support):
+            raise GraphInputError("degrees must be >= 1")
+        for d, p in zip(self.support, self.probabilities):
+            if not 0 < p <= 1:
+                raise GraphInputError(f"probability of degree {d} is not in (0, 1]; drop zero atoms")
+        total = sum(map(Fraction, self.probabilities))  # exact, so no float can overflow
+        if abs(total - 1) > 1e-12:
+            raise GraphInputError(f"probabilities sum to {float(total)}")
+
+    @classmethod
+    def build(cls, pairs) -> "DegreeDistribution":
+        items = sorted(pairs)
+        return cls(tuple(d for d, _ in items), tuple(p for _, p in items))
+
+    @classmethod
+    def from_string(cls, text: str) -> "DegreeDistribution":
+        """Parse "2:0.5,3:0.5"; decimal probabilities become exact Fractions."""
+        pairs = []
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            try:
+                d_text, p_text = part.split(":")
+                pairs.append((int(d_text), Fraction(p_text)))
+            except (ValueError, ZeroDivisionError):
+                raise GraphInputError(f"bad degree:probability pair {part!r}") from None
+        return cls.build(pairs)
+
+    @cached_property
+    def _moments(self) -> dict[str, float | None]:
+        return _degree_moments(tuple(zip(self.support, self.probabilities)), 1)
+
+    d_av = property(lambda self: self._moments["d_av"])
+    d2_mean = property(lambda self: self._moments["d2_mean"])
+    dlog_mean = property(lambda self: self._moments["dlog_mean"])
+    dlogd_mean = property(lambda self: self._moments["dlogd_mean"])
+    hoory_lambda = property(lambda self: self._moments["hoory_lambda"])
+
+    @property
+    def mean_d_dm1(self) -> float:
+        """E[D (D - 1)], the mean offspring count of non-root vertices."""
+        return float(sum(p * (d * (d - 1)) for d, p in zip(self.support, self.probabilities)))
+
+    @property
+    def min_degree(self) -> int:
+        return self.support[0]
+
+    @property
+    def max_degree(self) -> int:
+        return self.support[-1]
+
+    def is_point_mass(self) -> bool:
+        return len(self.support) == 1
+
+    def size_biased_offspring(self) -> tuple[tuple[int, object], ...]:
+        """Offspring law of non-root vertices: P(k - 1) = k pi(k) / E[D].
+
+        Exact (Fraction) whenever the input probabilities are exact; the
+        probabilities sum to 1 identically.
+        """
+        mean = sum(d * p for d, p in zip(self.support, self.probabilities))
+        return tuple(
+            (d - 1, d * p / mean) for d, p in zip(self.support, self.probabilities)
+        )
 
 
 # ----------------------------------------------------------------------------

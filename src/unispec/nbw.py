@@ -15,8 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .ensembles import DegreeDistribution
-from .graph import DegreeStats, DirectedEdge, Graph, GraphInputError
+from .graph import DegreeDistribution, DegreeStats, DirectedEdge, Graph, GraphInputError
 
 __all__ = [
     "EdgeRootedLaw",

@@ -21,6 +21,7 @@ from unispec import (
     closed_walk_counts,
     core_peel,
     cover_walk_counts,
+    ensembles,
     estimate_sphere,
     generate,
     hoory_bound,
@@ -97,11 +98,17 @@ def test_04_nbw_stationarity_and_reversal():
 
 
 def _root_neighbour_degrees(pi, samples, seed):
-    """Mean and stderr of sum_{y ~ root} deg y over UGW trees of depth 2."""
-    values = []
-    for i in range(samples):
+    """Mean and stderr of sum_{y ~ root} deg y over UGW trees 0..samples-1 of depth 2.
+
+    The trees grow together in ``_generations``, where the sum is the root's child count
+    plus the size of generation 2; the first 20 match the trees of ``sample_ugw``.
+    """
+    trees = np.arange(samples, dtype=np.uint64)
+    runs = ensembles._generations(ensembles._inverse_cdfs(pi), 2, ensembles._philox_key(seed), trees)
+    values = np.concatenate([counts[0] + last for counts, last in runs])
+    for i in range(20):
         tree = sample_ugw(pi, 2, (seed, i))
-        values.append(sum(tree.graph.degree(y) for y in tree.graph.adjacency[tree.root]))
+        assert values[i] == sum(tree.graph.degree(y) for y in tree.graph.adjacency[tree.root])
     return np.mean(values), np.std(values, ddof=1) / math.sqrt(samples)
 
 

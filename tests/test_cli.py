@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unispec import bounds, cli, cover, ensembles, nbw, spectra
+import pytest
+
+from unispec import bounds, cli, cover, ensembles, graph, nbw, spectra
 from unispec.cli import run
 
 
@@ -180,7 +182,7 @@ def test_sample_sphere_growth_bound_radius(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    pi = ensembles.DegreeDistribution.from_string("2:0.5,3:0.5")
+    pi = graph.DegreeDistribution.from_string("2:0.5,3:0.5")
     assert report["growth_bound"]["bound"] == bounds.sphere_growth_bounds(pi, 5)[0]
     assert "depth" not in report["config"]
 
@@ -224,10 +226,15 @@ def test_sample_bad_pi(capsys):
     # a probability too large for a float is checked exactly and named by its degree
     code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1e400", "--k", "2")
     assert code == 2 and "degree 2" in err, err
-    # the regular tree of degree 1 has no walk series
-    code, _, err = run_cli(capsys, "sample", "ugw", "--pi", "1:1", "--stat", "walks", "--k", "2",
-                           "--samples", "5")
-    assert code == 2 and "degree must be >= 2" in err, err
+
+
+def test_sample_walks_on_the_one_regular_tree(capsys):
+    # the 1-regular tree is K_2: every sample and the exact value are W_2k = 1
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "1:1", "--stat", "walks", "--k", "2",
+                             "--samples", "5")
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["exact"], report["mean"], report["stderr"]) == (1.0, 1.0, 0.0)
 
 
 def test_census_grid(capsys):
@@ -411,3 +418,11 @@ def test_budget_violation_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cover", "--gen", "complete:6", "--radius", "8")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_node_budget_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("UNISPEC_NODE_BUDGET", value)
+    code, _, err = run_cli(capsys, "cover", "--gen", "cycle:5", "--radius", "3")
+    assert code == 2
+    assert f"UNISPEC_NODE_BUDGET must be a positive integer, got {value!r}" in err, err

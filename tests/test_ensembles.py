@@ -273,8 +273,9 @@ def test_walk_moment_past_int64():
 def test_regular_tree_walks_values():
     assert regular_tree_walks(3, 2) == (1, 3, 15)
     assert regular_tree_walks(2, 5) == tuple(math.comb(2 * k, k) for k in range(6))
+    assert regular_tree_walks(1, 3) == (1, 1, 1, 1)  # the 1-regular tree is K_2
     with pytest.raises(GraphInputError):
-        regular_tree_walks(1, 3)
+        regular_tree_walks(0, 3)
 
 
 def test_regular_tree_walks_brute_force():

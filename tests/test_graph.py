@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unispec import (
+    DegreeDistribution,
     GraphInputError,
     build_graph,
     core_peel,
@@ -116,6 +117,58 @@ def test_degree_stats_undefined_with_leaf():
     s = degree_stats(FIXTURES["p5"])
     assert s.dlog_mean is None
     assert s.hoory_lambda is None
+
+
+MOMENT_GRAPHS = {
+    **FIXTURES,
+    "isolated": build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 6),
+    "grid6": generate("grid", 6),
+    "regular600": generate("random_regular", 600, 4, seed=0xC0FFEE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_GRAPHS))
+def test_degree_stats_pin_the_per_vertex_sums(name):
+    # the report bytes need these sums to the last bit: per vertex, in vertex order
+    degrees = [len(nbrs) for nbrs in MOMENT_GRAPHS[name].adjacency]
+    n, deg_sum = len(degrees), sum(degrees)
+    s = degree_stats(MOMENT_GRAPHS[name])
+    assert (s.d_av, s.d2_mean) == (deg_sum / n, sum(d * d for d in degrees) / n)
+    assert s.dlogd_mean == sum(d * math.log(d) for d in degrees if d > 0) / n
+    if min(degrees) < 2:
+        assert s.dlog_mean is None and s.hoory_lambda is None
+        return
+    lam = 1.0
+    for d in degrees:
+        lam *= (d - 1) ** (d / deg_sum)
+    assert s.dlog_mean == sum(d * math.log(d - 1) for d in degrees) / n
+    assert s.hoory_lambda == lam
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text", ["2:0.5,3:0.5", "3:1", "1:0.25,2:0.25,4:0.5", "2:1/3,5:2/3",
+                                  "2:0.1,3:0.2,7:0.7", "2:0.3,3:0.3,4:0.2,9:0.2"])
+def test_law_moments_pin_the_weighted_sums(text, exact):
+    pi = DegreeDistribution.from_string(text)
+    if not exact:
+        pi = DegreeDistribution.build([(d, float(p)) for d, p in zip(pi.support, pi.probabilities)])
+    atoms = list(zip(pi.support, pi.probabilities))
+
+    def moment(f):
+        return float(sum(p * f(d) for d, p in atoms))
+
+    assert pi.d_av == moment(lambda d: d)
+    assert pi.d2_mean == moment(lambda d: d * d)
+    assert pi.dlogd_mean == moment(lambda d: d * math.log(d))
+    assert pi.mean_d_dm1 == moment(lambda d: d * (d - 1))
+    if pi.min_degree < 2:
+        assert pi.dlog_mean is None and pi.hoory_lambda is None
+        return
+    lam = 1.0
+    for d, p in atoms:
+        lam *= float(d - 1) ** (d * float(p) / moment(lambda d: d))
+    assert pi.dlog_mean == moment(lambda d: d * math.log(d - 1))
+    assert pi.hoory_lambda == lam
 
 
 @pytest.mark.parametrize("name", LEAFLESS)
