@@ -220,16 +220,19 @@ SUITES = ("graph", "walks", "lifting", "nbw", "bounds", "all")
 
 def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport | None = None,
                 markov: spectra.EigenReport | None = None,
-                cover_rows: list[list[int]] | None = None) -> list[dict]:
+                cover_rows: list[list[int]] | None = None,
+                stats: DegreeStats | None = None) -> list[dict]:
     """Rows of the selected suites. A spectrum, or the ``cover_walk_rows`` of order
-    min(kmax, 4), that is not passed in is computed once, if a suite needs it."""
+    min(kmax, 4), that is not passed in is computed once, if a suite needs it; the
+    degree stats, if not passed in, are computed once here."""
     leafless = g.vertex_count > 0 and g.min_degree >= 2
     connected = g.is_connected()
     if suite in ("nbw", "bounds") and not leafless:
         raise GraphInputError(f"suite {suite!r} requires a leafless graph (min degree >= 2)")
     if suite in ("lifting", "bounds") and not connected:
         raise GraphInputError(f"suite {suite!r} requires a connected graph")
-    stats = degree_stats(g)
+    if stats is None:
+        stats = degree_stats(g)
     rows: list[dict] = []
     wanted = SUITES[:-1] if suite == "all" else (suite,)
     for name in wanted:
@@ -311,7 +314,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     else:
         bound_values["note"] = "degree-moment bounds undefined: graph has a leaf"
     checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4,
-                         report_adj, report_markov)
+                         report_adj, report_markov, stats=stats)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.analyze.v1",
         "config": cfg.to_dict(),
@@ -433,8 +436,9 @@ def _cmd_report(cfg: RunConfig) -> int:
     # coefficient j of every branch series depends only on those below j, so slices are exact
     rows = cover_mod.cover_walk_rows(g, max(radius, min(kmax, 4)))
     estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in rows])
-    checks = _run_suites(g, "all", kmax, cover_rows=[row[:min(kmax, 4) + 1] for row in rows])
     stats = degree_stats(g)
+    checks = _run_suites(g, "all", kmax, cover_rows=[row[:min(kmax, 4) + 1] for row in rows],
+                         stats=stats)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.report.v1",
         "config": cfg.to_dict(),

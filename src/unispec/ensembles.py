@@ -293,15 +293,21 @@ class _CanonBudget(Exception):
 
 
 def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    # canonical color ids: sorted signature order, so refinement is
-    # label-invariant
+    """The stable refinement of ``colors``, with ids in sorted signature order, so refinement is
+    label-invariant.
+
+    A signature starts with the old colour, so each round refines the last one, and a round with
+    as many cells as its input split none. Its ids, sorted by old colour first, are then the dense
+    ranks of the old ids: the ids a further round would return unchanged, so it ends there.
+    """
+    cells = len(set(colors))
     while True:
         sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
         lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [lookup[s] for s in sigs]
-        if new_colors == colors:
+        colors = [lookup[s] for s in sigs]
+        if len(lookup) == cells:
             return colors
-        colors = new_colors
+        cells = len(lookup)
 
 
 def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple[tuple, list[int]]:
@@ -426,13 +432,24 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
 
 
 def ball_census(g: Graph, r: int) -> Census:
-    """Census of canonical r-ball codes over all n root choices."""
+    """Census of canonical r-ball codes over all n root choices.
+
+    ``canonical_rooted_code`` reads a ball's BFS-labelled adjacency lists only through their
+    sorted contents, lengths and edge set, and the distances follow from them (the root is
+    vertex 0). So the code, its exactness and where ``CANON_SEARCH_CAP`` runs out depend only on
+    that labelled edge set: each distinct one is searched once, and later roots reuse its result.
+    """
     if r < 0:
         raise GraphInputError(f"radius must be nonnegative, got {r}")
     counts: dict[str, int] = {}
     all_exact = True
+    codes: dict[tuple, tuple[str, bool]] = {}  # labelled ball -> its code and exactness
     for root in range(g.vertex_count):
-        code, exact = canonical_rooted_code(g, root, r)
+        adj = _ball_adjacency(g, root, r)[0]
+        key = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        if key not in codes:
+            codes[key] = canonical_rooted_code(g, root, r)
+        code, exact = codes[key]
         all_exact &= exact
         counts[code] = counts.get(code, 0) + 1
     return Census(radius=r, counts=counts, total=g.vertex_count, exact=all_exact)

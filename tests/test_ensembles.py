@@ -352,6 +352,47 @@ def test_census_hash_degradation_flagged(monkeypatch):
     assert code.startswith("h41:") and not exact
 
 
+def _relabeled_grid(side, seed):
+    """grid:side under a random vertex permutation, edge order and edge orientation."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(side * side)
+    edges = [(int(perm[u]), int(perm[v])) for u, v in generate("grid", side).edges()]
+    edges = [edges[i][::-1] if rng.random() < 0.5 else edges[i]
+             for i in rng.permutation(len(edges))]
+    return build_graph(edges, side * side)
+
+
+@pytest.mark.parametrize("g, radius, cap", [
+    (_relabeled_grid(12, 3), 2, None),
+    (generate("random_regular", 60, 3, seed=0), 3, None),
+    (generate("random_regular", 200, 3, seed=0), 4, None),  # some balls hash
+    (generate("complete", 45), 1, None),  # above EXACT_CANON_LIMIT: hashed
+    (generate("grid", 9), 4, None),
+    (generate("complete", 9), 1, 10),  # the search cap runs out: hashed
+], ids=["relabeled_grid12_r2", "cubic60_r3", "cubic200_r4", "k45_r1", "grid9_r4", "k9_r1_cap10"])
+def test_census_memo_matches_per_root_codes(monkeypatch, g, radius, cap):
+    # the census searches each distinct BFS-labelled ball once; the per-root route searches all
+    if cap is not None:
+        monkeypatch.setattr(ensembles, "CANON_SEARCH_CAP", cap)
+    counts, exact = {}, True
+    for root in range(g.vertex_count):
+        code, code_exact = canonical_rooted_code(g, root, radius)
+        counts[code] = counts.get(code, 0) + 1
+        exact &= code_exact
+    census = ball_census(g, radius)
+    assert (census.counts, census.exact, census.total) == (counts, exact, g.vertex_count)
+
+
+def test_census_searches_fewer_balls_than_roots(monkeypatch):
+    g = _relabeled_grid(12, 3)
+    calls = []
+    search = ensembles.canonical_rooted_code
+    monkeypatch.setattr(ensembles, "canonical_rooted_code",
+                        lambda *args: calls.append(1) or search(*args))
+    ball_census(g, 2)
+    assert 0 < len(calls) < g.vertex_count
+
+
 def test_tree_ball_search_takes_one_branch_per_level(monkeypatch):
     # a tree ball's pruned search gives the full search's code, and stays exact past the cap
     rng = np.random.default_rng(31)
@@ -406,6 +447,36 @@ def _full_search_code(adj, colors):
     target = min(c for c in colors if colors.count(c) > 1)
     return min(_full_search_code(adj, colors[:v] + [n] + colors[v + 1:])
                for v in range(n) if colors[v] == target)
+
+
+def _refine_to_a_fixed_point(adj, colors):
+    """Refinement rounds until one returns its input ids: the oracle for the early stop of
+    ``ensembles._refine``, which ends on the round that splits no cell."""
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_colors = [lookup[s] for s in sigs]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def test_refine_ids_match_the_fixed_point():
+    # the distance colouring of each ball, and each one-vertex individualization (colour n, as
+    # the search gives it) of its refined colouring: the ids, not only the partition, must agree
+    colourings = 0
+    for g in (generate("grid", 7), generate("random_regular", 40, 3, seed=5)):
+        for root in range(g.vertex_count):
+            adj, _, dist = walks._ball_adjacency(g, root, 3)
+            refined = ensembles._refine(adj, dist)
+            assert refined == _refine_to_a_fixed_point(adj, dist)
+            n = len(adj)
+            for v in range(n):
+                individualized = refined[:v] + [n] + refined[v + 1:]
+                assert (ensembles._refine(adj, individualized)
+                        == _refine_to_a_fixed_point(adj, individualized))
+            colourings += 1 + n
+    assert colourings > 1000
 
 
 def test_pruned_search_matches_the_full_search():
