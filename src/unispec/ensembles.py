@@ -8,7 +8,9 @@ Mass-Transport Principle.
 
 Every draw comes from a counter-based Philox stream (Salmon et al. 2011) keyed by
 the master seed and addressed by (sample, generation, vertex), so sample i is a
-function of (master seed, i) alone, however the samples are chunked or scheduled.
+function of (master seed, i) alone, however the samples are split or scheduled.
+Trees grow together in runs, each generation of a run one Philox pass; a run of two
+or more trees draws at most ``UGW_DRAWS`` values in one generation.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ EXACT_CANON_LIMIT = 40
 # far below the cap (the 40-vertex ball of K_40 takes 780 nodes)
 CANON_SEARCH_CAP = 5_000
 UGW_NODE_BUDGET = 1_000_000
-# trees the estimators grow together; any chunking gives the same samples. Larger chunks
-# pay less per-call overhead but hold more memory: at 1024 the perfbench ugw workload peaks
-# at 42 MB, below the 44 MB of a loop over single trees, and at 2048 it peaks at 46 MB
-UGW_CHUNK = 1024
-_PHILOX_SLICE = 1 << 14  # counter blocks per Philox evaluation
+# the most values a run of two or more trees draws in one generation; any bound gives the same
+# samples. A larger bound makes fewer, larger Philox passes; the memory a run holds grows with
+# the bound times the depth
+UGW_DRAWS = 1 << 14
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
@@ -75,24 +76,38 @@ def _philox(ctr: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Philox4x64-10 (Salmon et al. 2011) of each column of a (4, n) uint64 counter array.
 
     The same function as numpy's ``Philox`` bit generator: ten rounds, the key bumped by the
-    Weyl constants before every round after the first.
+    Weyl constants before every round after the first. The state is two (2, n) arrays, words
+    (0, 2), which are multiplied, and words (3, 1), which are xored into the high halves of the
+    products; each round runs in place on a fixed set of buffers, and ends by swapping references.
     """
     low, half = np.array(0xFFFFFFFF, np.uint64), np.array(32, np.uint64)  # faster than int operands
     m = np.array(_PHILOX_M, np.uint64)[:, None]  # multipliers of words 0 and 2
     m_lo, m_hi = m & low, m >> half
     bumps = np.array(_PHILOX_W[::-1], np.uint64)[:, None] * np.arange(10, dtype=np.uint64)
-    keys = key[::-1, None] + bumps  # round r xors key + r * W, word order matching hi
-    x = ctr.copy()
+    keys = (key[::-1, None] + bumps).T[:, :, None]  # round r xors key + r * W, words matching hi
+    a, b = ctr[[0, 2]], ctr[[3, 1]]
+    a_lo, hi, mid, carry = (np.empty_like(a) for _ in range(4))
     for r in range(10):
-        a = x[0::2]
-        a_lo, a_hi = a & low, a >> half
-        mid = a_hi * m_lo
-        carry = ((a_lo * m_lo) >> half) + (mid & low) + a_lo * m_hi
-        hi = a_hi * m_hi + (mid >> half) + (carry >> half)  # high words of the products a * m
-        lo = a * m
-        hi ^= x[3::-2]  # words 3 and 1
-        hi ^= keys[:, r:r + 1]
-        x[0::2], x[1::2] = hi[::-1], lo[::-1]
+        np.bitwise_and(a, low, out=a_lo)
+        np.right_shift(a, half, out=hi)
+        np.multiply(hi, m_lo, out=mid)
+        np.multiply(a_lo, m_lo, out=carry)
+        np.right_shift(carry, half, out=carry)
+        np.multiply(a_lo, m_hi, out=a_lo)
+        np.add(carry, a_lo, out=carry)
+        np.bitwise_and(mid, low, out=a_lo)
+        np.add(carry, a_lo, out=carry)
+        np.right_shift(carry, half, out=carry)
+        np.multiply(hi, m_hi, out=hi)
+        np.right_shift(mid, half, out=mid)
+        np.add(hi, mid, out=hi)
+        np.add(hi, carry, out=hi)  # the high words of the products a * m
+        np.bitwise_xor(hi, b, out=hi)
+        np.bitwise_xor(hi, keys[r], out=hi)
+        np.multiply(a, m, out=a)  # the low words: next words (3, 1)
+        a, b, hi = hi[::-1], a, b
+    x = np.empty_like(ctr)
+    x[0::2], x[1::2] = a, b[::-1]
     return x
 
 
@@ -102,18 +117,18 @@ def _uniforms(key: np.ndarray, g: int, trees: np.ndarray, sizes: np.ndarray) -> 
     Vertex j of tree i takes word j % 4 of Philox at counter (1 + j // 4, g, i, 0) as the double
     (x >> 11) * 2**-53. These are the values of
     ``Generator(Philox(key=key, counter=[0, g, i, 0])).random(size)``, so every draw is a
-    function of (key, tree, generation, vertex) alone.
+    function of (key, tree, generation, vertex) alone. All blocks go through one Philox pass:
+    there are no more of them than draws.
     """
     blocks = (sizes + 3) // 4
     first = np.cumsum(blocks) - blocks  # each tree's first block
-    ctr = np.zeros((int(blocks.sum()), 4), np.uint64)
-    ctr[:, 0] = np.arange(1, len(ctr) + 1) - np.repeat(first, blocks)
-    ctr[:, 1] = g
-    ctr[:, 2] = np.repeat(trees, blocks)
-    for s in range(0, len(ctr), _PHILOX_SLICE):  # bounds the round temporaries
-        ctr[s:s + _PHILOX_SLICE] = _philox(ctr[s:s + _PHILOX_SLICE].T, key).T
+    ctr = np.zeros((4, int(blocks.sum())), np.uint64)
+    ctr[0] = np.arange(1, ctr.shape[1] + 1) - np.repeat(first, blocks)
+    ctr[1] = g
+    ctr[2] = np.repeat(trees, blocks)
     skip = np.repeat(4 * first - (np.cumsum(sizes) - sizes), sizes)  # unused words of last blocks
-    return (ctr.ravel()[np.arange(len(skip)) + skip] >> 11) * 2.0 ** -53
+    words = _philox(ctr, key).ravel(order="F")  # block-major
+    return (words[np.arange(len(skip)) + skip] >> 11) * 2.0 ** -53
 
 
 def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
@@ -125,11 +140,14 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
     comes from pi, then one size-biased offspring draw per vertex; a generation empty in every
     tree of the run ends the list.
 
-    The only ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every vertex, the last level
-    too, raises. A run of trees that passes it together is split in two, each half keeping its share
-    of the generations drawn and growing on from there, so no run yielded holds more vertices than
-    the budget and no vertex is drawn twice. Each draw depends only on its counter, so the trees
-    never depend on the split.
+    A run of two or more trees draws at most ``UGW_DRAWS`` values in one generation. The only
+    ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every vertex, the last level too,
+    raises. A run is yielded once it is grown (it reached ``depth`` or its last generation is
+    empty) within the budget. A run that would pass the draw bound in its next generation, or
+    that passes the budget together, is split in two, each half keeping its share of the
+    generations drawn and growing on from there, so no vertex is drawn twice. A single tree draws
+    whatever it needs, bounded by the budget alone. Each draw depends only on its counter, so the
+    trees never depend on the splits.
     """
     if depth < 0:
         raise GraphInputError(f"depth must be nonnegative, got {depth}")
@@ -137,7 +155,8 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
     while runs:
         trees, counts, levels = runs.pop()  # levels[g][t]: vertices of tree t in generation g
         totals = sum(levels)
-        while len(counts) < depth and levels[-1].any() and totals.sum() <= UGW_NODE_BUDGET:
+        while (len(counts) < depth and levels[-1].any() and totals.sum() <= UGW_NODE_BUDGET
+               and (len(trees) == 1 or levels[-1].sum() <= UGW_DRAWS)):
             values, cum = laws[1] if counts else laws[0]
             drawn = values[cum.searchsorted(_uniforms(key, len(counts), trees, levels[-1]))]
             owner = np.repeat(np.arange(len(trees)), levels[-1])
@@ -146,10 +165,10 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
             totals += levels[-1]
         if totals.max() > UGW_NODE_BUDGET:
             raise BudgetError(f"UGW sample exceeded node budget {UGW_NODE_BUDGET}")
-        if totals.sum() <= UGW_NODE_BUDGET:
+        if (len(counts) == depth or not levels[-1].any()) and totals.sum() <= UGW_NODE_BUDGET:
             yield counts, levels[-1]
             continue
-        half = (len(trees) + 1) // 2  # at least two trees, as none passes the budget alone
+        half = (len(trees) + 1) // 2  # at least two trees: a single one is grown or raised
         cuts = [int(level[:half].sum()) for level in levels[:-1]]
         runs.append((trees[half:], [c[k:] for c, k in zip(counts, cuts)],
                      [level[half:] for level in levels]))
@@ -158,9 +177,9 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
 
 
 def _chunks(samples: int):
-    """Consecutive sample indices, ``UGW_CHUNK`` trees at a time."""
-    for start in range(0, samples, UGW_CHUNK):
-        yield np.arange(start, min(start + UGW_CHUNK, samples), dtype=np.uint64)
+    """Consecutive sample indices, ``UGW_DRAWS`` trees at a time: one root draw per tree."""
+    for start in range(0, samples, UGW_DRAWS):
+        yield np.arange(start, min(start + UGW_DRAWS, samples), dtype=np.uint64)
 
 
 def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
@@ -202,7 +221,9 @@ def _walk_series(counts: list[np.ndarray], last: np.ndarray, k: int, dtype) -> n
 
     The branch of a depth-h vertex has E = 1 / (1 - z * sum of its children's E), kept to order
     k - h (Hoory 2005); the walks are the coefficient of z^k in the root's E. This is the series
-    of ``branch_series`` with unit weights, over whole levels of a chunk of trees at once.
+    of ``branch_series`` with unit weights, over whole levels of a run of trees at once. Each
+    level of a run of two or more trees above depth k holds at most ``UGW_DRAWS`` vertices, so
+    the arrays grow with the draw bound, not with the number of samples.
     """
     series = np.ones((int(last.sum()), k + 1 - len(counts)), dtype)
     for h in range(len(counts) - 1, -1, -1):
@@ -222,8 +243,9 @@ def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> 
     """Estimate E[W_2k(T, root)] over unimodular Galton-Watson trees.
 
     Each sample grows a depth-k tree (walks of length 2k never go deeper) and counts its
-    closed walks exactly with the leaf-up branch series, a chunk of trees at a time. The
-    counts are int64 when D_max^(2k) < 2^63 bounds them, Python ints otherwise.
+    closed walks exactly with the leaf-up branch series, a run of trees at a time (runs are
+    bounded by their draws per generation, see ``_generations``). The counts are int64 when
+    D_max^(2k) < 2^63 bounds them, Python ints otherwise.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")

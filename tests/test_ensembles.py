@@ -183,28 +183,63 @@ def test_estimates_deterministic():
 
 
 @pytest.mark.parametrize("master", [0, 12345, 2**40 + 3])
-def test_uniforms_are_numpy_philox_streams(monkeypatch, master):
+def test_uniforms_are_numpy_philox_streams(master):
     # the stream layout: generation g of sample i draws Generator(Philox(key, counter=[0, g, i, 0]))
     key = ensembles._philox_key(master)
     trees = np.array([0, 2, 2**32 + 5, 2**40, 2**63 + 1], np.uint64)
     sizes = np.array([1, 0, 5, 9, 4])
-    pieces = (ensembles._PHILOX_SLICE, 3)  # slices of 3 blocks cut through trees
     for g in (0, 1, 5):
         counters = [np.array([0, g, i, 0], np.uint64) for i in trees]  # a list rounds past 2^63
         expected = np.concatenate([np.random.Generator(np.random.Philox(key=key, counter=c))
                                    .random(s) for c, s in zip(counters, sizes)])
-        for piece in pieces:
-            monkeypatch.setattr(ensembles, "_PHILOX_SLICE", piece)
-            assert np.array_equal(ensembles._uniforms(key, g, trees, sizes), expected)
+        assert np.array_equal(ensembles._uniforms(key, g, trees, sizes), expected)
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_estimates_do_not_depend_on_the_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("master", [0, 7, 2**40 + 3])
+def test_philox_is_numpy_philox(master):
+    # numpy's Philox bumps its counter before each block, so block 1 of counter c is the kernel
+    # at c + 1; the counters cover the full range of every word, past 2^63 too
+    key = ensembles._philox_key(master)
+    c = np.random.default_rng(master).integers(0, 2**64, (200, 4), np.uint64)
+    c = c[c[:, 0] != 2**64 - 1]  # c + 1 would carry into word 1
+    expected = [np.random.Philox(key=key, counter=ci).random_raw(4) for ci in c]
+    nxt = c.T.copy()
+    nxt[0] += np.uint64(1)
+    assert np.array_equal(ensembles._philox(nxt, key).T, expected)
+
+
+@pytest.mark.parametrize("draws", [1, 3, 7])
+def test_estimates_do_not_depend_on_the_chunk(monkeypatch, draws):
+    # at 1 every run of two or more trees splits before every generation
     expected = (estimate_sphere(UNIFORM_23, 4, samples=20, seed=13),
                 estimate_walk_moment(UNIFORM_23, 4, samples=20, seed=13))
-    monkeypatch.setattr(ensembles, "UGW_CHUNK", chunk)
+    monkeypatch.setattr(ensembles, "UGW_DRAWS", draws)
     assert (estimate_sphere(UNIFORM_23, 4, samples=20, seed=13),
             estimate_walk_moment(UNIFORM_23, 4, samples=20, seed=13)) == expected
+
+
+def test_runs_keep_to_the_draw_bound(monkeypatch):
+    # each generation of a run of two or more trees draws at most UGW_DRAWS values, and the
+    # split runs draw each vertex once: as many draws as one run, and the same estimates
+    uniforms = ensembles._uniforms
+
+    def run():
+        calls = []
+
+        def recording(key, g, trees, sizes):
+            calls.append((len(trees), int(sizes.sum())))
+            return uniforms(key, g, trees, sizes)
+
+        monkeypatch.setattr(ensembles, "_uniforms", recording)
+        return (estimate_sphere(UNIFORM_23, 5, 200, 3),
+                estimate_walk_moment(UNIFORM_23, 5, 200, 3)), calls
+
+    expected, unbounded = run()
+    monkeypatch.setattr(ensembles, "UGW_DRAWS", 50)
+    estimates, calls = run()
+    assert all(draws <= 50 for trees, draws in calls if trees > 1)
+    assert sum(draws for _, draws in calls) == sum(draws for _, draws in unbounded)
+    assert estimates == expected
 
 
 def test_fewer_samples_are_a_prefix(monkeypatch):
@@ -217,12 +252,25 @@ def test_fewer_samples_are_a_prefix(monkeypatch):
         return aggregate(values, *rest)
 
     monkeypatch.setattr(ensembles, "_aggregate", recording)
-    many = ensembles.UGW_CHUNK + 5
+    many = ensembles.UGW_DRAWS + 5
     for samples in (7, many):
         estimate_sphere(UNIFORM_23, 3, samples=samples, seed=4)
         estimate_walk_moment(UNIFORM_23, 3, samples=samples, seed=4)
     assert seen[0] == seen[2][:7] and seen[1] == seen[3][:7]
     assert len(seen[2]) == len(seen[3]) == many
+
+
+def test_estimates_are_pinned():
+    # the exact floats, so a change to the streams, the laws or the splits shows; the sphere runs
+    # cross a chunk boundary, and generation 7 of the walk runs passes the draw bound
+    pinned = [
+        (UNIFORM_23, (6.40685, 0.014325725642904089), (332172.32, 9642.791985425214)),
+        (DegreeDistribution.from_string("2:0.5,5:0.5"), (34.52375, 0.12256995131973955),
+         (42622958.34, 1533215.3763036919)),
+    ]
+    for pi, sphere, walks_ in pinned:
+        assert estimate_sphere(pi, 3, 20000, 1)[0] == ensembles.Estimate(*sphere, 20000, 1)
+        assert estimate_walk_moment(pi, 8, 600, 1) == ensembles.Estimate(*walks_, 600, 1)
 
 
 def test_chunk_over_the_budget_is_split(monkeypatch):
