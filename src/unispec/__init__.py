@@ -31,17 +31,13 @@ from .spectra import (
 )
 from .walks import (
     DyckPath,
-    TreeWalkCode,
     WalkCountTable,
     WeightFn,
     branch_series,
     catalan,
     closed_walk_counts,
-    decode_tree_walk,
     edge_weight,
-    encode_tree_walk,
     enumerate_dyck,
-    profile_stack_states,
     srw_return_probs,
     walk_identity_check,
     weighted_closed_walks,
@@ -57,17 +53,11 @@ from .cover import (
     verify_lifting,
 )
 from .nbw import (
-    EdgeRootedLaw,
     NBWKernel,
-    NBWSimulation,
-    NBWTrajectory,
     StationarityReport,
-    degree_biased_edge_law,
-    edge_root_law,
     nbw_entropy,
     nbw_entropy_rate,
     nbw_transition,
-    simulate_nbw,
     stationarity_check,
 )
 from .ensembles import (

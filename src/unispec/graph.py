@@ -219,10 +219,9 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
             raise GraphInputError(f"complete needs n >= 1, got {n}")
         return build_graph([(i, j) for i in range(n) for j in range(i + 1, n)], n)
     if family == "grid":
-        if len(params) == 1:
-            rows = cols = params[0]
-        else:
-            rows, cols = _params(family, params, 2)
+        if len(params) not in (1, 2):
+            raise GraphInputError(f"grid takes 1 or 2 parameter(s), got {len(params)}")
+        rows, cols = params if len(params) == 2 else params * 2
         if rows < 1 or cols < 1:
             raise GraphInputError(f"grid needs positive dimensions, got {rows}x{cols}")
         edges = []

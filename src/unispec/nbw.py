@@ -10,32 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import DegreeDistribution, DegreeStats, DirectedEdge, Graph, GraphInputError
 
 __all__ = [
-    "EdgeRootedLaw",
     "NBWKernel",
-    "NBWSimulation",
-    "NBWTrajectory",
     "StationarityReport",
-    "degree_biased_edge_law",
-    "edge_root_law",
     "nbw_entropy",
     "nbw_entropy_rate",
     "nbw_transition",
-    "simulate_nbw",
     "stationarity_check",
 ]
-
-
-def _require_edges(g: Graph) -> None:
-    if g.edge_count < 1:
-        raise GraphInputError("edge-rooted law requires at least one edge")
 
 
 def _require_leafless(g: Graph) -> None:
@@ -43,50 +31,6 @@ def _require_leafless(g: Graph) -> None:
         raise GraphInputError(
             "non-backtracking walk requires minimum degree >= 2 (leaf present)"
         )
-
-
-@dataclass(frozen=True)
-class EdgeRootedLaw:
-    """A probability law on the directed edges of a graph.
-
-    ``probabilities`` aligns with ``graph.directed_edges()``. Uniform weight
-    1/2m is the edge-rooted law derived from the uniform vertex root.
-    """
-
-    graph: Graph
-    probabilities: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.probabilities) != 2 * self.graph.edge_count:
-            raise ValueError("one probability per directed edge required")
-        total = sum(self.probabilities)
-        if abs(float(total) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {float(total)}, expected 1")
-        if any(p < 0 for p in self.probabilities):
-            raise ValueError("probabilities must be nonnegative")
-
-
-def edge_root_law(g: Graph) -> EdgeRootedLaw:
-    """Uniform law 1/2m on every directed edge."""
-    _require_edges(g)
-    p = Fraction(1, 2 * g.edge_count)
-    return EdgeRootedLaw(g, (p,) * (2 * g.edge_count))
-
-
-def degree_biased_edge_law(g: Graph) -> EdgeRootedLaw:
-    """Same law through the factorized route: root a vertex with probability
-    proportional to its degree, then pick a uniform neighbour.
-
-    Kept as an independent construction; it must agree with edge_root_law
-    exactly on finite graphs.
-    """
-    _require_edges(g)
-    total = 2 * g.edge_count
-    probs = [
-        Fraction(g.degree(e.tail), total) * Fraction(1, g.degree(e.tail))
-        for e in g.directed_edges()
-    ]
-    return EdgeRootedLaw(g, tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -163,67 +107,3 @@ def nbw_entropy_rate(g: Graph) -> float:
         rate += p * -sum(w * math.log(w) for _ in targets)
     return rate
 
-
-# ----------------------------------------------------------------------------
-# Simulation
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NBWTrajectory:
-    edges: tuple[DirectedEdge, ...]
-    seed: int
-
-
-@dataclass(frozen=True)
-class NBWSimulation:
-    trajectory: NBWTrajectory
-    counts: Mapping[DirectedEdge, int]
-    total: int
-    uniform_target: float
-    stderr: float
-
-
-def simulate_nbw(
-    g: Graph, steps: int, seed: int, start: DirectedEdge | None = None
-) -> NBWSimulation:
-    """Run ``steps`` non-backtracking steps and tally edge occupancy.
-
-    The start edge is drawn from the uniform edge law unless given. The
-    occupancy of each directed edge converges to 1/2m; ``stderr`` is the
-    binomial standard error sqrt(p(1-p)/N) against that target.
-    """
-    _require_leafless(g)
-    if steps < 0:
-        raise GraphInputError(f"steps must be nonnegative, got {steps}")
-    index, succ = g.edge_index, g.nb_successors
-    edges = list(index)
-    rng = np.random.default_rng(seed)
-    if start is None:
-        cur = int(rng.integers(len(edges)))
-    else:
-        start = DirectedEdge(*start)
-        if start not in index:
-            raise GraphInputError(f"start edge {start} is not a directed edge of the graph")
-        cur = index[start]
-    visited = [cur]
-    for _ in range(steps):
-        targets = succ[cur]
-        nxt = targets[int(rng.integers(len(targets)))]
-        if edges[nxt].tail != edges[cur].head or edges[nxt] == edges[cur].reverse():
-            raise AssertionError("non-backtracking step invariant violated")
-        cur = nxt
-        visited.append(cur)
-    counts: dict[DirectedEdge, int] = {}
-    for i in visited:
-        counts[edges[i]] = counts.get(edges[i], 0) + 1
-    total = len(visited)
-    p = 1.0 / len(edges)
-    stderr = math.sqrt(p * (1.0 - p) / total)
-    return NBWSimulation(
-        trajectory=NBWTrajectory(tuple(edges[i] for i in visited), seed),
-        counts=counts,
-        total=total,
-        uniform_target=p,
-        stderr=stderr,
-    )

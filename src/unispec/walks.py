@@ -1,11 +1,10 @@
-"""Exact closed-walk counts and branch series, Dyck paths, the tree-walk codec, weighted walks.
+"""Exact closed-walk counts: the branch series on trees and covers, the ball-local walk loop.
 
-Closed walks in a tree are encoded by their height profile (the Dyck path of
-root distances along the walk) together with the directed edges taken at the
-forward times, i.e. the steps that increase the height. Decoding replays a
-stack discipline: forward steps push their edge, backward steps pop and
-traverse the reversal. This codec is what connects walk counts to Catalan
-numbers and to non-backtracking-walk entropy.
+Two walk engines, one per geometry. ``branch_series`` gives every closed-walk count on a
+tree or universal cover, weighted ones included (``weighted_closed_walks``). ``_ball_walks``
+gives every closed-walk quantity on a finite graph (``closed_walk_counts``,
+``srw_return_probs``). Catalan numbers, Dyck-path enumeration and ``walk_identity_check``
+are the independent brute-force oracle of the weighted tree series.
 """
 
 from __future__ import annotations
@@ -16,23 +15,19 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
-from .graph import BudgetError, DirectedEdge, Graph, GraphInputError, _bfs, bfs_distances
+from .graph import BudgetError, Graph, GraphInputError, _bfs, bfs_distances
 
 __all__ = [
     "DYCK_ENUM_LIMIT",
     "DyckPath",
-    "TreeWalkCode",
     "WALK_BUDGET_DEFAULT",
     "WalkCountTable",
     "WeightFn",
     "branch_series",
     "catalan",
     "closed_walk_counts",
-    "decode_tree_walk",
     "edge_weight",
-    "encode_tree_walk",
     "enumerate_dyck",
-    "profile_stack_states",
     "srw_return_probs",
     "walk_identity_check",
     "weighted_closed_walks",
@@ -147,7 +142,9 @@ def catalan(k: int) -> int:
 
 @dataclass(frozen=True)
 class DyckPath:
-    """A +1/-1 step sequence with all prefix sums >= 0 and total 0."""
+    """A +1/-1 step sequence with all prefix sums >= 0 and total 0: the height profile of a
+    closed tree walk, enumerated by ``walk_identity_check`` (the oracle of
+    ``test_06_walk_identity_on_random_trees`` and the ``test_walk_identity_*`` tests)."""
 
     steps: tuple[int, ...]
 
@@ -167,7 +164,11 @@ class DyckPath:
 
 
 def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
-    """All Dyck paths of length 2k. Capped (C_14 = 2674440 paths already)."""
+    """All Dyck paths of length 2k. Capped (C_14 = 2674440 paths already).
+
+    Only ``walk_identity_check`` reads it, as the brute-force side of the oracle of
+    ``test_06_walk_identity_on_random_trees`` and the ``test_walk_identity_*`` tests.
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if k > limit:
@@ -190,88 +191,6 @@ def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
 
     extend(0, k, k)
     return paths
-
-
-# ----------------------------------------------------------------------------
-# Height-profile / forward-step codec
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeWalkCode:
-    profile: DyckPath
-    forward_edges: tuple[DirectedEdge, ...]
-
-
-def _check_tree(tree: Graph) -> None:
-    if not tree.is_tree():
-        raise GraphInputError("expected a tree (connected, m = n - 1)")
-
-
-def encode_tree_walk(tree: Graph, walk: Sequence[int]) -> TreeWalkCode:
-    """Encode a closed walk from walk[0] as (height profile, forward edges)."""
-    _check_tree(tree)
-    if len(walk) < 1:
-        raise GraphInputError("walk must contain at least the starting vertex")
-    if walk[0] != walk[-1]:
-        raise GraphInputError(f"open walk: starts at {walk[0]}, ends at {walk[-1]}")
-    root = walk[0]
-    dist = bfs_distances(tree, root)
-    steps = []
-    forward = []
-    for a, b in zip(walk, walk[1:]):
-        if not tree.has_edge(a, b):
-            raise GraphInputError(f"not a walk: ({a}, {b}) is not an edge")
-        diff = dist[b] - dist[a]
-        steps.append(diff)
-        if diff == 1:
-            forward.append(DirectedEdge(a, b))
-    return TreeWalkCode(DyckPath(tuple(steps)), tuple(forward))
-
-
-def decode_tree_walk(tree: Graph, root: int, code: TreeWalkCode) -> list[int]:
-    """Replay the stack discipline: forward times push their edge, backward
-    times pop the most recent edge and traverse it in reverse."""
-    _check_tree(tree)
-    walk = [root]
-    stack: list[DirectedEdge] = []
-    forward = iter(code.forward_edges)
-    for s in code.profile.steps:
-        if s == 1:
-            edge = next(forward, None)
-            if edge is None:
-                raise GraphInputError("fewer forward edges than forward times")
-            if edge.tail != walk[-1]:
-                raise GraphInputError(
-                    f"forward edge {edge} does not start at current vertex {walk[-1]}"
-                )
-            if not tree.has_edge(edge.tail, edge.head):
-                raise GraphInputError(f"forward edge {edge} is not a tree edge")
-            stack.append(edge)
-            walk.append(edge.head)
-        else:
-            edge = stack.pop()
-            walk.append(edge.tail)
-    if next(forward, None) is not None:
-        raise GraphInputError("more forward edges than forward times")
-    return walk
-
-
-def profile_stack_states(profile: DyckPath) -> list[tuple[int, ...]]:
-    """Stack of forward times after each step; determined by the profile alone.
-
-    For steps (+1,-1,+1,+1,-1,-1) the trace is
-    (1,) () (3,) (3,4) (3,) () using 1-based step times.
-    """
-    stack: list[int] = []
-    states = []
-    for i, s in enumerate(profile.steps, start=1):
-        if s == 1:
-            stack.append(i)
-        else:
-            stack.pop()
-        states.append(tuple(stack))
-    return states
 
 
 # ----------------------------------------------------------------------------
@@ -325,6 +244,11 @@ def edge_weight(w: WeightFn, g: Graph, x: int, y: int):
         raise GraphInputError(f"explicit weight table has no entry for ({x}, {y})") from None
 
 
+def _check_tree(tree: Graph) -> None:
+    if not tree.is_tree():
+        raise GraphInputError("expected a tree (connected, m = n - 1)")
+
+
 def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> list:
     """Weighted closed-walk counts: entry k is the sum over closed walks of
     length 2k from ``root`` of the product of the 2k step weights.
@@ -358,8 +282,15 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
     symmetrized kappa over forward times after the first. The right side is
     brute-force enumeration over Dyck profiles, the left side the excursion
     recursion of ``weighted_closed_walks``, so the two routes are independent.
-    Exact arithmetic whenever the weights are rational.
+    Exact arithmetic whenever the weights are rational. Conditioning on the first
+    step needs k >= 1.
+
+    This is the oracle of the weighted tree series in acceptance
+    ``test_06_walk_identity_on_random_trees`` and in the ``test_walk_identity_*``
+    tests of ``tests/test_walks.py``; no command calls it.
     """
+    if k < 1:
+        raise GraphInputError(f"walk_identity_check needs k >= 1, got {k}")
     if k > IDENTITY_K_LIMIT:
         raise BudgetError(f"walk_identity_check limited to k <= {IDENTITY_K_LIMIT}, got {k}")
     if tree.vertex_count > IDENTITY_SIZE_LIMIT:

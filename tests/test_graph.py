@@ -1,9 +1,11 @@
+import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import unispec
 from unispec import (
     DegreeDistribution,
     GraphInputError,
@@ -81,6 +83,10 @@ def test_generate_infeasible():
         generate("cycle", 2)
     with pytest.raises(GraphInputError):
         generate("nosuch", 3)
+    with pytest.raises(GraphInputError, match=r"grid takes 1 or 2 parameter\(s\), got 0"):
+        generate("grid")
+    with pytest.raises(GraphInputError, match=r"grid takes 1 or 2 parameter\(s\), got 3"):
+        generate("grid", 2, 3, 4)
 
 
 def test_generate_glued_clique_path():
@@ -293,3 +299,15 @@ def test_load_graph_reports_offending_line(tmp_path):
         message = "^line 1: vertex count must be nonnegative, got -3$"
         with pytest.raises(GraphInputError, match=message):
             load_graph(str(path))
+
+
+def test_public_surface_is_consistent():
+    # perfbench's tracer getattrs every name in each module's __all__, so one stale entry
+    # breaks every traced run; the package re-exports every function and type of the library
+    for short in ("graph", "spectra", "walks", "cover", "nbw", "ensembles", "bounds", "cli"):
+        module = importlib.import_module(f"unispec.{short}")
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], short
+        if short != "cli":
+            unexported = [name for name in module.__all__ if not name.isupper()
+                          and getattr(unispec, name, None) is not getattr(module, name)]
+            assert unexported == [], short

@@ -5,43 +5,17 @@ import numpy as np
 import pytest
 
 from unispec import (
-    DirectedEdge,
     Graph,
     GraphInputError,
     bfs_distances,
-    build_graph,
-    degree_biased_edge_law,
     degree_stats,
-    edge_root_law,
     nbw_entropy,
     nbw_entropy_rate,
     nbw_transition,
-    simulate_nbw,
     stationarity_check,
 )
 
 from fixture_graphs import FIXTURES, LEAFLESS, star
-
-
-def test_uniform_edge_law():
-    law = edge_root_law(FIXTURES["c4"])
-    assert law.probabilities == (Fraction(1, 8),) * 8
-    assert edge_root_law(FIXTURES["c3"]).probabilities == (Fraction(1, 6),) * 6
-    k2 = build_graph([(0, 1)], 2)
-    assert edge_root_law(k2).probabilities == (Fraction(1, 2), Fraction(1, 2))
-
-
-def test_edgeless_rejected():
-    with pytest.raises(GraphInputError):
-        edge_root_law(build_graph([], 3))
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_degree_biased_factorization_agrees(name):
-    g = FIXTURES[name]
-    if g.edge_count == 0:
-        return
-    assert degree_biased_edge_law(g).probabilities == edge_root_law(g).probabilities
 
 
 def test_kernel_c4_rotation():
@@ -120,10 +94,10 @@ def test_entropy_rejects_leaf():
 def test_entropy_matches_kernel_rate(name):
     g = FIXTURES[name]
     kernel = nbw_transition(g)
-    law = edge_root_law(g)
+    p = 1.0 / (2 * g.edge_count)
     rate = 0.0
-    for p, row in zip(law.probabilities, kernel.matrix):
-        rate += float(p) * -sum(x * math.log(x) for x in row if x > 0)
+    for row in kernel.matrix:
+        rate += p * -sum(x * math.log(x) for x in row if x > 0)
     assert abs(rate - nbw_entropy(degree_stats(g))) <= 1e-12
     assert nbw_entropy_rate(g) == rate
 
@@ -175,34 +149,3 @@ def test_mtp_exact_on_all_fixtures(name, transport):
     lhs, rhs, direct = _mtp_sides(FIXTURES[name], transport)
     assert lhs == rhs == direct
     assert isinstance(lhs, Fraction)
-
-
-def test_simulate_c4_rotation():
-    sim = simulate_nbw(FIXTURES["c4"], 8, seed=1, start=DirectedEdge(0, 1))
-    expected = [(0, 1), (1, 2), (2, 3), (3, 0)] * 3
-    assert [tuple(e) for e in sim.trajectory.edges] == expected[:9]
-
-
-def test_simulate_k4_occupancy():
-    sim = simulate_nbw(FIXTURES["k4"], 100_000, seed=42)
-    assert sim.total == 100_001
-    for edge in FIXTURES["k4"].directed_edges():
-        freq = sim.counts.get(edge, 0) / sim.total
-        assert abs(freq - sim.uniform_target) <= 4 * sim.stderr
-
-
-def test_simulate_never_backtracks():
-    sim = simulate_nbw(FIXTURES["petersen"], 2000, seed=5)
-    for a, b in zip(sim.trajectory.edges, sim.trajectory.edges[1:]):
-        assert a.head == b.tail
-        assert b != a.reverse()
-
-
-def test_simulate_deterministic_and_guarded():
-    one = simulate_nbw(FIXTURES["k4"], 50, seed=7)
-    two = simulate_nbw(FIXTURES["k4"], 50, seed=7)
-    assert one.trajectory == two.trajectory
-    with pytest.raises(GraphInputError, match="leaf"):
-        simulate_nbw(star(3), 10, seed=0)
-    with pytest.raises(GraphInputError, match="start edge"):
-        simulate_nbw(FIXTURES["c4"], 10, seed=0, start=DirectedEdge(0, 2))

@@ -6,7 +6,6 @@ import pytest
 
 from unispec import (
     BudgetError,
-    DirectedEdge,
     DyckPath,
     GraphInputError,
     WeightFn,
@@ -15,11 +14,8 @@ from unispec import (
     build_graph,
     catalan,
     closed_walk_counts,
-    decode_tree_walk,
-    encode_tree_walk,
     enumerate_dyck,
     generate,
-    profile_stack_states,
     srw_return_probs,
     walk_identity_check,
     weighted_closed_walks,
@@ -153,63 +149,6 @@ def test_dyck_validation():
         DyckPath((1, 1))  # does not return to 0
 
 
-def test_encode_single_edge():
-    tree = build_graph([(0, 1)], 2)
-    code = encode_tree_walk(tree, [0, 1, 0])
-    assert code.profile.steps == (1, -1)
-    assert code.forward_edges == (DirectedEdge(0, 1),)
-
-
-def test_stack_discipline_trace():
-    profile = DyckPath((1, -1, 1, 1, -1, -1))
-    assert profile_stack_states(profile) == [(1,), (), (3,), (3, 4), (3,), ()]
-
-
-def test_codec_errors():
-    tree = build_graph([(0, 1), (1, 2)], 3)
-    with pytest.raises(GraphInputError, match="open walk"):
-        encode_tree_walk(tree, [0, 1])
-    with pytest.raises(GraphInputError, match="not a walk"):
-        encode_tree_walk(tree, [0, 2, 0])
-
-
-def _random_closed_walk(tree, root, k, rng):
-    dist = bfs_distances(tree, root)
-    parent = {v: next(u for u in tree.adjacency[v] if dist[u] == dist[v] - 1)
-              for v in range(tree.vertex_count) if v != root}
-    walk = [root]
-    height = 0
-    for step in range(2 * k):
-        must_rise = height == 0
-        must_fall = height == 2 * k - step  # just enough steps left to get home
-        rise = must_rise or (not must_fall and rng.random() < 0.5)
-        cur = walk[-1]
-        if rise:
-            children = [z for z in tree.adjacency[cur] if z != parent.get(cur)]
-            if not children:  # at a leaf, forced back down
-                walk.append(parent[cur])
-                height -= 1
-                continue
-            walk.append(children[int(rng.integers(len(children)))])
-            height += 1
-        else:
-            walk.append(parent[cur])
-            height -= 1
-    return walk
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_codec_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(10):
-        tree = random_tree(int(rng.integers(2, 12)), rng)
-        root = int(rng.integers(tree.vertex_count))
-        walk = _random_closed_walk(tree, root, int(rng.integers(1, 7)), rng)
-        assert walk[0] == walk[-1] == root
-        code = encode_tree_walk(tree, walk)
-        assert decode_tree_walk(tree, root, code) == walk
-
-
 def test_weighted_unit_matches_exact_counts():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -275,6 +214,9 @@ def test_walk_identity_budgets():
         walk_identity_check(generate("path", 3), 0, 7, WeightFn.unit())
     with pytest.raises(BudgetError):
         walk_identity_check(generate("path", 17), 0, 2, WeightFn.unit())
+    for k in (0, -1):
+        with pytest.raises(GraphInputError, match="k >= 1"):
+            walk_identity_check(build_graph([(0, 1), (1, 2)], 3), 0, k, WeightFn.unit())
 
 
 def _walk_weight_products(tree, walk, w):
