@@ -61,10 +61,17 @@ class RootedTree(NamedTuple):
 
 
 def _inverse_cdfs(pi: DegreeDistribution) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Inverse-CDF tables (values, cumulative probabilities): root degree, size-biased offspring."""
-    offspring = pi.size_biased_offspring()
-    return ((np.array(pi.support), np.cumsum([float(p) for p in pi.probabilities])),
-            (np.array([k for k, _ in offspring]), np.cumsum([float(p) for _, p in offspring])))
+    """Inverse-CDF tables (values, cumulative probabilities): root degree, size-biased offspring.
+
+    Each table ends at exactly 1: a float cumsum of an exact law can end below 1, and a draw
+    past its end would find no atom.
+    """
+    def table(values, probs):
+        cum = np.cumsum([float(p) for p in probs])
+        cum[-1] = 1.0
+        return np.array(values), cum
+
+    return table(pi.support, pi.probabilities), table(*zip(*pi.size_biased_offspring()))
 
 
 def _philox_key(master: int) -> np.ndarray:
@@ -131,26 +138,27 @@ def _uniforms(key: np.ndarray, g: int, trees: np.ndarray, sizes: np.ndarray) -> 
     return (words[np.arange(len(skip)) + skip] >> 11) * 2.0 ** -53
 
 
-def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
-    """Grow UGW trees ``trees``; yield (child counts of generations 0..depth-1, per-tree size of
-    generation depth) for consecutive runs of them, in tree order.
+def _generations(pi: DegreeDistribution, depth: int, master: int, trees: np.ndarray):
+    """Grow UGW(pi) trees ``trees`` with the Philox key of seed ``master``; yield (child counts of
+    generations 0..depth-1, per-tree size of generation depth) for runs of them, in tree order.
 
     Generation g lists the child counts of its vertices tree-major, each tree's vertices in level
     order, so the children of a vertex are consecutive in generation g + 1. The root's degree
     comes from pi, then one size-biased offspring draw per vertex; a generation empty in every
     tree of the run ends the list.
 
-    A run of two or more trees draws at most ``UGW_DRAWS`` values in one generation. The only
-    ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every vertex, the last level too,
-    raises. A run is yielded once it is grown (it reached ``depth`` or its last generation is
-    empty) within the budget. A run that would pass the draw bound in its next generation, or
-    that passes the budget together, is split in two, each half keeping its share of the
-    generations drawn and growing on from there, so no vertex is drawn twice. A single tree draws
-    whatever it needs, bounded by the budget alone. Each draw depends only on its counter, so the
-    trees never depend on the splits.
+    ``trees`` may be every sample index. A run is yielded once grown (to ``depth`` or to an empty
+    generation) within the budget. A run of two or more trees that would draw more than
+    ``UGW_DRAWS`` values in its next generation, or that passes the budget together, is split in
+    two, each half keeping its share of the generations drawn, so no vertex is drawn twice; the
+    first split cuts the root generation (one draw per tree) like any other. A single tree draws
+    whatever it needs. The only ``UGW_NODE_BUDGET`` check: a tree that passes it, counting every
+    vertex, the last level too, raises. Each draw depends only on its counter, so the trees never
+    depend on the splits.
     """
     if depth < 0:
         raise GraphInputError(f"depth must be nonnegative, got {depth}")
+    laws, key = _inverse_cdfs(pi), _philox_key(master)
     runs = [(trees, [], [np.ones(len(trees), np.int64)])]  # (trees, child counts, level sizes)
     while runs:
         trees, counts, levels = runs.pop()  # levels[g][t]: vertices of tree t in generation g
@@ -176,12 +184,6 @@ def _generations(laws: tuple, depth: int, key: np.ndarray, trees: np.ndarray):
                      [level[:half] for level in levels]))  # popped first, to keep tree order
 
 
-def _chunks(samples: int):
-    """Consecutive sample indices, ``UGW_DRAWS`` trees at a time: one root draw per tree."""
-    for start in range(0, samples, UGW_DRAWS):
-        yield np.arange(start, min(start + UGW_DRAWS, samples), dtype=np.uint64)
-
-
 def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     """Sample a unimodular Galton-Watson tree truncated at ``depth``.
 
@@ -190,8 +192,7 @@ def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     seed s means (s, 0).
     """
     master, index = seed if isinstance(seed, tuple) else (seed, 0)
-    (counts, _), = _generations(_inverse_cdfs(pi), depth, _philox_key(master),
-                                np.array([index], np.uint64))
+    (counts, _), = _generations(pi, depth, master, np.array([index], np.uint64))
     flat = np.concatenate([np.zeros(0, np.int64)] + counts)  # level order: children are consecutive
     parents = np.repeat(np.arange(len(flat)), flat).tolist()
     edges = list(zip(parents, range(1, len(parents) + 1)))
@@ -209,9 +210,18 @@ class Estimate:
 
 
 def _aggregate(values: Sequence[float], samples: int, seed) -> Estimate:
+    """The estimate of ``values``. Finite values whose sum or squares pass the float range are
+    divided by their largest magnitude, and the mean and stderr of the quotients scaled back."""
+    def moments(x: np.ndarray, scale: float) -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            return (float(x.mean()) * scale,
+                    float(x.std(ddof=1) / math.sqrt(samples)) * scale if samples > 1 else 0.0)
+
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    mean, stderr = moments(arr, 1.0)
+    if not (math.isfinite(mean) and math.isfinite(stderr)) and np.isfinite(arr).all():
+        scale = float(np.abs(arr).max())
+        mean, stderr = moments(arr / scale, scale)
     return Estimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
@@ -221,9 +231,9 @@ def _walk_series(counts: list[np.ndarray], last: np.ndarray, k: int, dtype) -> n
 
     The branch of a depth-h vertex has E = 1 / (1 - z * sum of its children's E), kept to order
     k - h (Hoory 2005); the walks are the coefficient of z^k in the root's E. This is the series
-    of ``branch_series`` with unit weights, over whole levels of a run of trees at once. Each
-    level of a run of two or more trees above depth k holds at most ``UGW_DRAWS`` vertices, so
-    the arrays grow with the draw bound, not with the number of samples.
+    of ``branch_series`` with unit weights, over whole levels of a run of trees at once. The draw
+    bound ``UGW_DRAWS`` bounds the levels and arrays of a run of two or more trees; per sample,
+    the grower holds only an index and a level-0 count (16 bytes), beside the estimate's one float.
     """
     series = np.ones((int(last.sum()), k + 1 - len(counts)), dtype)
     for h in range(len(counts) - 1, -1, -1):
@@ -245,14 +255,17 @@ def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> 
     Each sample grows a depth-k tree (walks of length 2k never go deeper) and counts its
     closed walks exactly with the leaf-up branch series, a run of trees at a time (runs are
     bounded by their draws per generation, see ``_generations``). The counts are int64 when
-    D_max^(2k) < 2^63 bounds them, Python ints otherwise.
+    D_max^(2k) < 2^63 bounds them, Python ints otherwise; a count past the float range raises.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
-    laws, key = _inverse_cdfs(pi), _philox_key(seed)
     dtype = np.int64 if pi.max_degree ** (2 * k) < 2 ** 63 else object
-    values = [_walk_series(counts, last, k, dtype).astype(np.float64)
-              for trees in _chunks(samples) for counts, last in _generations(laws, k, key, trees)]
+    try:
+        values = [_walk_series(counts, last, k, dtype).astype(np.float64) for counts, last
+                  in _generations(pi, k, seed, np.arange(samples, dtype=np.uint64))]
+    except OverflowError:  # from astype: a Python int count too large for a float
+        raise GraphInputError(f"a walk count W_2k at k = {k} passes the float range "
+                              f"(max {np.finfo(np.float64).max:.3g})") from None
     return _aggregate(np.concatenate(values), samples, seed)
 
 
@@ -276,8 +289,7 @@ def estimate_sphere(
         raise GraphInputError(f"sphere radius must be >= 1, got {r}")
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
-    laws, key = _inverse_cdfs(pi), _philox_key(seed)
-    values = [last for trees in _chunks(samples) for _, last in _generations(laws, r, key, trees)]
+    values = [last for _, last in _generations(pi, r, seed, np.arange(samples, dtype=np.uint64))]
     return _aggregate(np.concatenate(values), samples, seed), exact_sphere_expectation(pi, r)
 
 

@@ -104,7 +104,7 @@ def _root_neighbour_degrees(pi, samples, seed):
     plus the size of generation 2; the first 20 match the trees of ``sample_ugw``.
     """
     trees = np.arange(samples, dtype=np.uint64)
-    runs = ensembles._generations(ensembles._inverse_cdfs(pi), 2, ensembles._philox_key(seed), trees)
+    runs = ensembles._generations(pi, 2, seed, trees)
     values = np.concatenate([counts[0] + last for counts, last in runs])
     for i in range(20):
         tree = sample_ugw(pi, 2, (seed, i))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unispec import bounds, cli, cover, ensembles, graph, nbw, spectra
@@ -235,6 +236,20 @@ def test_sample_walks_on_the_one_regular_tree(capsys):
     assert code == 0, err
     report = json.loads(out)
     assert (report["exact"], report["mean"], report["stderr"]) == (1.0, 1.0, 0.0)
+
+
+def test_sample_walks_past_the_float_range(capsys, monkeypatch):
+    # walk counts near 1e160 have a float, though their squares do not
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "1:0.5,2:0.5", "--stat", "walks",
+                             "--k", "300", "--samples", "5", "--seed", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert 1e150 < report["mean"] < math.inf and 0 < report["stderr"] < math.inf
+    # a count past the float range exits 2 and names k; W_2k of the line first has none at k = 515
+    monkeypatch.setattr(ensembles, "_walk_series", lambda *args: np.array([10 ** 400], object))
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1", "--stat", "walks",
+                             "--k", "5", "--samples", "2")
+    assert (code, out) == (2, "") and "k = 5 passes the float range (max 1.8e+308)" in err, err
 
 
 def test_census_grid(capsys):

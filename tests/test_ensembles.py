@@ -243,7 +243,7 @@ def test_runs_keep_to_the_draw_bound(monkeypatch):
 
 
 def test_fewer_samples_are_a_prefix(monkeypatch):
-    # sample i depends on (seed, i) alone, across the chunk boundary too
+    # sample i depends on (seed, i) alone, across the split of a run past the draw bound too
     seen = []
     aggregate = ensembles._aggregate
 
@@ -261,8 +261,8 @@ def test_fewer_samples_are_a_prefix(monkeypatch):
 
 
 def test_estimates_are_pinned():
-    # the exact floats, so a change to the streams, the laws or the splits shows; the sphere runs
-    # cross a chunk boundary, and generation 7 of the walk runs passes the draw bound
+    # the exact floats, so a change to the streams, the laws or the splits shows; the 20,000 sphere
+    # root draws pass the draw bound, and so does generation 7 of the walk runs
     pinned = [
         (UNIFORM_23, (6.40685, 0.014325725642904089), (332172.32, 9642.791985425214)),
         (DegreeDistribution.from_string("2:0.5,5:0.5"), (34.52375, 0.12256995131973955),
@@ -281,15 +281,14 @@ def test_chunk_over_the_budget_is_split(monkeypatch):
     monkeypatch.setattr(ensembles, "UGW_NODE_BUDGET", 100)
     assert (estimate_sphere(UNIFORM_23, 5, samples=40, seed=2),
             estimate_walk_moment(UNIFORM_23, 5, samples=40, seed=2)) == expected
-    runs = list(ensembles._generations(ensembles._inverse_cdfs(UNIFORM_23), 5,
-                                       ensembles._philox_key(2), np.arange(40, dtype=np.uint64)))
+    runs = list(ensembles._generations(UNIFORM_23, 5, 2, np.arange(40, dtype=np.uint64)))
     assert len(runs) > 1
     assert all(sum(map(len, counts)) + last.sum() <= 100 for counts, last in runs)
     assert sum(len(last) for _, last in runs) == 40
 
 
 def test_split_chunk_draws_each_vertex_once(monkeypatch):
-    # 64 depth-5 trees of the 10-regular law pass the budget together, so the chunk halves three
+    # 64 depth-5 trees of the 10-regular law pass the budget together, so the run halves three
     # times; each half keeps the generations already drawn, 1 + 10 + 90 + 810 + 7290 per tree
     drawn = []
     uniforms = ensembles._uniforms
@@ -299,6 +298,39 @@ def test_split_chunk_draws_each_vertex_once(monkeypatch):
     pi = DegreeDistribution.from_string("10:1")
     assert estimate_sphere(pi, 5, 64, 0) == (ensembles.Estimate(65610.0, 0.0, 64, 0), 65610.0)
     assert sum(drawn) == 64 * 8201
+
+
+def test_sphere_job_makes_one_pass_per_run_generation(monkeypatch):
+    # the 100,000 root draws are cut by the halving split alone, into 8 runs of 12,500 trees: a
+    # fixed-size chunker ahead of it (7 chunks of at most 16,384 trees) makes 72 passes
+    passes = []
+    philox = ensembles._philox
+    monkeypatch.setattr(ensembles, "_philox",
+                        lambda ctr, key: passes.append(1) or philox(ctr, key))
+    estimate_sphere(UNIFORM_23, 3, 100_000, 1)
+    assert len(passes) <= 56
+
+
+@pytest.mark.parametrize("text,largest", [(",".join(f"{d}:1/7" for d in range(2, 9)), 8),
+                                          ("2:0.4999999999999,3:0.5", 3)])
+def test_largest_draw_finds_the_largest_atom(monkeypatch, text, largest):
+    # a float cumsum of these exact laws ends below 1 (0.9999999999999998 for the uniform law on
+    # 2..8), so the draw 1 - 2^-53 fell past the end of the table
+    pi = DegreeDistribution.from_string(text)
+    monkeypatch.setattr(ensembles, "_uniforms",
+                        lambda key, g, trees, sizes: np.full(int(sizes.sum()), 1 - 2.0 ** -53))
+    tree = sample_ugw(pi, 2, 0)
+    assert tree.graph.degree(0) == largest
+    assert all(tree.graph.degree(v) == largest for v in tree.graph.adjacency[0])
+    est, _ = estimate_sphere(pi, 2, 3, 0)
+    assert (est.mean, est.stderr) == (largest * (largest - 1), 0.0)
+
+
+def test_aggregate_past_the_float_range():
+    # the sum 2.5e308 and the squares of 1e308 pass the float range, the mean and stderr do not
+    est = ensembles._aggregate([1e308, 1.5e308], 2, 0)
+    assert math.isclose(est.mean, 1.25e308, rel_tol=1e-15)
+    assert math.isclose(est.stderr, 0.25e308, rel_tol=1e-15)
 
 
 def test_tree_over_the_budget_raises(monkeypatch):
