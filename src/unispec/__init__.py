@@ -6,7 +6,6 @@ from .graph import (
     BudgetError,
     DegreeDistribution,
     DegreeStats,
-    DirectedEdge,
     Graph,
     GraphInputError,
     PeeledCore,
@@ -31,12 +30,9 @@ from .spectra import (
 )
 from .walks import (
     DyckPath,
-    WalkCountTable,
-    WeightFn,
     branch_series,
     catalan,
     closed_walk_counts,
-    edge_weight,
     enumerate_dyck,
     srw_return_probs,
     walk_identity_check,

@@ -156,7 +156,7 @@ def _suite_walks(g: Graph, kmax: int, report: spectra.EigenReport,
     # entry k of a walk table does not depend on the length the iteration runs to
     n = g.vertex_count
     worst = 0.0
-    columns = zip(*(walks.closed_walk_counts(g, x, kmax).counts for x in range(n)))
+    columns = zip(*(walks.closed_walk_counts(g, x, kmax) for x in range(n)))
     for k, column in enumerate(columns):
         mom = spectra.moment(report.measure, k)
         worst = max(worst, abs(mom - sum(column) / n) / max(1.0, abs(mom)))

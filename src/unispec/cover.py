@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graph import BudgetError, Graph, GraphInputError, build_graph
-from .walks import WalkCountTable, branch_series, closed_walk_counts
+from .walks import branch_series, closed_walk_counts
 
 __all__ = [
     "NODE_BUDGET_DEFAULT",
@@ -116,7 +116,7 @@ def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
     return CoverBall(tree=tree, root=0, cover_map=tuple(base_of), radius=radius)
 
 
-def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
+def cover_walk_counts(cb: CoverBall, kmax: int) -> list[int]:
     """Exact closed-walk counts of the cover from the lifted root, k <= 2*kmax.
 
     Walks of length 2k stay in the radius-k ball, so counts up to length
@@ -128,7 +128,7 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> WalkCountTable:
             f"kmax={kmax} exceeds cover radius {cb.radius}; walks of length 2k "
             f"need radius k"
         )
-    return closed_walk_counts(cb.tree, cb.root, 2 * kmax, budget=2 * kmax)
+    return closed_walk_counts(cb.tree, cb.root, 2 * kmax)
 
 
 def _cover_branches(g: Graph, order: int) -> list[Sequence[int]]:
@@ -143,9 +143,8 @@ def _cover_branches(g: Graph, order: int) -> list[Sequence[int]]:
     stored = (2 * g.edge_count + g.vertex_count) * (order + 1)
     if stored > budget:
         raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
-    index = g.edge_index
-    roots = [[index[(x, y)] for y in g.adjacency[x]] for x in range(g.vertex_count)]
-    return [*g.nb_successors, *roots]
+    offsets = g.edge_offsets
+    return [*g.nb_successors, *map(range, offsets, offsets[1:])]
 
 
 def cover_walk_rows(g: Graph, kmax: int) -> list[list[int]]:
@@ -184,7 +183,7 @@ def verify_lifting(g: Graph, rows: list[list[int]], base: int) -> list[LiftCheck
     """
     cover_counts = rows[base]
     kmax = len(cover_counts) - 1
-    base_counts = closed_walk_counts(g, base, 2 * kmax, budget=2 * kmax).counts[::2]
+    base_counts = closed_walk_counts(g, base, 2 * kmax)[::2]
     return [LiftCheck(k, cover_counts[k], base_counts[k], cover_counts[k] <= base_counts[k])
             for k in range(1, kmax + 1)]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -255,17 +256,23 @@ def estimate_walk_moment(pi: DegreeDistribution, k: int, samples: int, seed) -> 
     Each sample grows a depth-k tree (walks of length 2k never go deeper) and counts its
     closed walks exactly with the leaf-up branch series, a run of trees at a time (runs are
     bounded by their draws per generation, see ``_generations``). The counts are int64 when
-    D_max^(2k) < 2^63 bounds them, Python ints otherwise; a count past the float range raises.
+    D_max^(2k) < 2^63 bounds them, Python ints otherwise; a count past the float range raises,
+    as soon as the first run is grown if the count of the min-degree regular tree passes it.
     """
     if samples < 1:
         raise GraphInputError(f"samples must be >= 1, got {samples}")
     dtype = np.int64 if pi.max_degree ** (2 * k) < 2 ** 63 else object
+    # every sample holds the min-degree regular tree to depth k, so its W_2k bounds every count
+    floor = regular_tree_walks(pi.min_degree, k)[k] if dtype is object else 0
+    values = []
     try:
-        values = [_walk_series(counts, last, k, dtype).astype(np.float64) for counts, last
-                  in _generations(pi, k, seed, np.arange(samples, dtype=np.uint64))]
-    except OverflowError:  # from astype: a Python int count too large for a float
+        for counts, last in _generations(pi, k, seed, np.arange(samples, dtype=np.uint64)):
+            if floor > sys.float_info.max:
+                raise OverflowError
+            values.append(_walk_series(counts, last, k, dtype).astype(np.float64))
+    except OverflowError:  # a count too large for a float, from the floor or from astype
         raise GraphInputError(f"a walk count W_2k at k = {k} passes the float range "
-                              f"(max {np.finfo(np.float64).max:.3g})") from None
+                              f"(max {sys.float_info.max:.3g})") from None
     return _aggregate(np.concatenate(values), samples, seed)
 
 

@@ -7,6 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -15,7 +16,6 @@ __all__ = [
     "BudgetError",
     "DegreeDistribution",
     "DegreeStats",
-    "DirectedEdge",
     "Graph",
     "GraphInputError",
     "PeeledCore",
@@ -36,14 +36,6 @@ class GraphInputError(ValueError):
 
 class BudgetError(ValueError):
     """A computation would exceed its configured size budget."""
-
-
-class DirectedEdge(NamedTuple):
-    tail: int
-    head: int
-
-    def reverse(self) -> "DirectedEdge":
-        return DirectedEdge(self.head, self.tail)
 
 
 @dataclass(frozen=True)
@@ -80,28 +72,30 @@ class Graph:
         """All undirected edges as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
 
-    def directed_edges(self) -> list[DirectedEdge]:
-        """All 2m directed edges in lexicographic order."""
-        return [DirectedEdge(u, v) for u in range(self.vertex_count) for v in self.adjacency[u]]
+    def directed_edges(self) -> list[tuple[int, int]]:
+        """All 2m directed edges (tail, head) in lexicographic order."""
+        return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u]]
 
     @cached_property
-    def edge_index(self) -> dict[DirectedEdge, int]:
-        """Position of each directed edge in ``directed_edges()``; iterates in that order."""
-        return {e: i for i, e in enumerate(self.directed_edges())}
+    def edge_offsets(self) -> tuple[int, ...]:
+        """Directed edge (u, adjacency[u][i]) sits at position edge_offsets[u] + i of
+        ``directed_edges()``; edge_offsets[n] = 2m."""
+        return (0, *accumulate(map(len, self.adjacency)))
 
     @cached_property
     def nb_successors(self) -> tuple[tuple[int, ...], ...]:
         """Non-backtracking successors by edge position: (u, v) -> (v, w) for w ~ v, w != u,
         in the order of ``adjacency[v]``. Shared by the NBW statistics and the cover series."""
-        index = self.edge_index
-        return tuple(tuple([index[(v, w)] for w in self.adjacency[v] if w != u]) for u, v in index)
+        offsets = self.edge_offsets
+        return tuple(tuple([offsets[v] + i for i, w in enumerate(self.adjacency[v]) if w != u])
+                     for u, v in self.directed_edges())
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
+    def adjacency_matrix(self) -> np.ndarray:
         n = self.vertex_count
-        a = np.zeros((n, n), dtype=dtype)
+        a = np.zeros((n, n))
         for u in range(n):
             for v in self.adjacency[u]:
                 a[u, v] = 1
@@ -259,7 +253,7 @@ def _params(family: str, params: tuple[int, ...], count: int) -> tuple[int, ...]
     return params
 
 
-def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> Graph:
+def _random_regular(n: int, d: int, seed: int | None) -> Graph:
     if d < 0 or d >= n:
         raise GraphInputError(f"random_regular needs 0 <= d < n, got n={n}, d={d}")
     if (n * d) % 2 != 0:
@@ -267,7 +261,7 @@ def _random_regular(n: int, d: int, seed: int | None, max_tries: int = 2000) -> 
     if d == 0:
         return build_graph([], n)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(2000):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         seen: set[tuple[int, int]] = set()

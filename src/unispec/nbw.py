@@ -9,12 +9,13 @@ rejected outright for the walk operations rather than patched.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DegreeDistribution, DegreeStats, DirectedEdge, Graph, GraphInputError
+from .graph import DegreeDistribution, DegreeStats, Graph, GraphInputError
 
 __all__ = [
     "NBWKernel",
@@ -40,7 +41,7 @@ class NBWKernel:
     Row (x, y) is uniform on {(y, z): z ~ y, z != x}; rows and columns follow ``edges``.
     """
 
-    edges: tuple[DirectedEdge, ...]
+    edges: tuple[tuple[int, int], ...]
     matrix: np.ndarray
 
 
@@ -55,7 +56,7 @@ def nbw_transition(g: Graph) -> NBWKernel:
         w = 1.0 / len(targets)
         for j in targets:
             m[i, j] = w
-    return NBWKernel(tuple(g.edge_index), m)
+    return NBWKernel(tuple(g.directed_edges()), m)
 
 
 class StationarityReport(NamedTuple):
@@ -71,11 +72,11 @@ def stationarity_check(g: Graph) -> StationarityReport:
     kernel matrix, so it stays usable on graphs where 2m x 2m is large.
     """
     _require_leafless(g)
-    index, succ = g.edge_index, g.nb_successors
+    adj, offsets, succ = g.adjacency, g.edge_offsets, g.nb_successors
     size = len(succ)
     u = 1.0 / size
     acc = [0.0] * size
-    rev = [index[e.reverse()] for e in index]
+    rev = [offsets[y] + bisect_left(adj[y], x) for x, y in g.directed_edges()]
     rev_dev = 0.0
     for i, targets in enumerate(succ):
         w = u / len(targets)

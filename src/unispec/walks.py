@@ -20,35 +20,18 @@ from .graph import BudgetError, Graph, GraphInputError, _bfs, bfs_distances
 __all__ = [
     "DYCK_ENUM_LIMIT",
     "DyckPath",
-    "WALK_BUDGET_DEFAULT",
-    "WalkCountTable",
-    "WeightFn",
     "branch_series",
     "catalan",
     "closed_walk_counts",
-    "edge_weight",
     "enumerate_dyck",
     "srw_return_probs",
     "walk_identity_check",
     "weighted_closed_walks",
 ]
 
-WALK_BUDGET_DEFAULT = 64
 DYCK_ENUM_LIMIT = 14
 IDENTITY_K_LIMIT = 6
 IDENTITY_SIZE_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class WalkCountTable:
-    """counts[k] = number of closed walks of length k from ``root``, exact."""
-
-    root: int
-    counts: tuple[int, ...]
-
-    @property
-    def kmax(self) -> int:
-        return len(self.counts) - 1
 
 
 def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], list, list]:
@@ -87,13 +70,9 @@ def _ball_walks(g: Graph, root: int, length: int, scale=None) -> list:
     return diagonal
 
 
-def closed_walk_counts(
-    g: Graph, root: int, kmax: int, budget: int = WALK_BUDGET_DEFAULT
-) -> WalkCountTable:
+def closed_walk_counts(g: Graph, root: int, kmax: int) -> list[int]:
     """Exact (A^k)_{root,root} for k = 0..kmax, read from ``_ball_walks``."""
-    if budget is not None and kmax > budget:
-        raise BudgetError(f"kmax={kmax} exceeds walk budget {budget}")
-    return WalkCountTable(root, tuple(_ball_walks(g, root, kmax)))
+    return _ball_walks(g, root, kmax)
 
 
 def branch_series(succ: Sequence[Sequence[int]], order: Sequence[int],
@@ -163,7 +142,7 @@ class DyckPath:
         return len(self.steps)
 
 
-def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
+def enumerate_dyck(k: int) -> list[DyckPath]:
     """All Dyck paths of length 2k. Capped (C_14 = 2674440 paths already).
 
     Only ``walk_identity_check`` reads it, as the brute-force side of the oracle of
@@ -171,8 +150,8 @@ def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if k > limit:
-        raise BudgetError(f"Dyck enumeration k={k} exceeds limit {limit}")
+    if k > DYCK_ENUM_LIMIT:
+        raise BudgetError(f"Dyck enumeration k={k} exceeds limit {DYCK_ENUM_LIMIT}")
     paths: list[DyckPath] = []
     steps: list[int] = []
 
@@ -198,50 +177,22 @@ def enumerate_dyck(k: int, limit: int = DYCK_ENUM_LIMIT) -> list[DyckPath]:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightFn:
-    """Directed-edge weight function with a positive lower bound ``delta``.
+def _kappa(weight: Mapping[tuple[int, int], object] | None):
+    """kappa(x, y) = weight[x, y] * weight[y, x] of a mapping from directed edges to positive step
+    weights, or 1 for every edge without one. Rational weights keep every product exact."""
+    if weight is None:
+        return lambda x, y: 1
+    for edge, value in weight.items():
+        if not value > 0:
+            raise GraphInputError(f"step weight {value} on {edge} is not positive")
 
-    Modes: "unit" (all weights 1, exact integer arithmetic), "srw"
-    (weight(x, y) = 1/deg(x), resolved against the graph in use, delta is
-    1/max_degree there), "explicit" (a table keyed by (tail, head); rational
-    entries keep downstream arithmetic exact).
-    """
+    def kappa(x: int, y: int):
+        try:
+            return weight[x, y] * weight[y, x]
+        except KeyError as missing:
+            raise GraphInputError(f"step weights have no entry for {missing.args[0]}") from None
 
-    mode: str
-    table: Mapping[tuple[int, int], object] | None = None
-    delta: object = 1
-
-    @classmethod
-    def unit(cls) -> "WeightFn":
-        return cls("unit", None, 1)
-
-    @classmethod
-    def srw(cls) -> "WeightFn":
-        return cls("srw", None, None)
-
-    @classmethod
-    def explicit(cls, table: Mapping[tuple[int, int], object], delta=None) -> "WeightFn":
-        if not table:
-            raise GraphInputError("explicit weight table is empty")
-        if delta is None:
-            delta = min(table.values())
-        for edge, value in table.items():
-            if value < delta or value <= 0:
-                raise GraphInputError(f"weight {value} on {edge} below delta={delta} or <= 0")
-        return cls("explicit", dict(table), delta)
-
-
-def edge_weight(w: WeightFn, g: Graph, x: int, y: int):
-    if w.mode == "unit":
-        return 1
-    if w.mode == "srw":
-        return 1.0 / g.degree(x)
-    assert w.table is not None
-    try:
-        return w.table[(x, y)]
-    except KeyError:
-        raise GraphInputError(f"explicit weight table has no entry for ({x}, {y})") from None
+    return kappa
 
 
 def _check_tree(tree: Graph) -> None:
@@ -249,31 +200,31 @@ def _check_tree(tree: Graph) -> None:
         raise GraphInputError("expected a tree (connected, m = n - 1)")
 
 
-def weighted_closed_walks(tree: Graph, root: int, kmax: int, w: WeightFn) -> list:
+def weighted_closed_walks(tree: Graph, root: int, kmax: int,
+                          weight: Mapping[tuple[int, int], object] | None = None) -> list:
     """Weighted closed-walk counts: entry k is the sum over closed walks of
-    length 2k from ``root`` of the product of the 2k step weights.
+    length 2k from ``root`` of the product of the 2k step weights ``weight[x, y]``.
 
     On a tree each forward step of a closed walk pairs with its reversal, so that
-    product is the product of kappa(x, y) = w(x, y) w(y, x) over the forward steps:
+    product is the product of kappa(x, y) = weight[x, y] weight[y, x] over the forward steps:
     the series of the root's branch, with excursion weights kappa and orders kmax - depth.
-    Unit weights reproduce closed_walk_counts at even lengths; srw weights
-    reproduce srw_return_probs on the tree.
+    Without ``weight`` every step weighs 1 and the counts are exact ints, those of
+    closed_walk_counts at even lengths; weight[x, y] = 1.0 / deg x reproduces
+    srw_return_probs on the tree.
     """
+    kappa = _kappa(weight)
     _check_tree(tree)
     if kmax < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
     adj, ball, depth = _ball_adjacency(tree, root, kmax)
     children = [[c for c in nbrs if depth[c] > depth[b]] for b, nbrs in enumerate(adj)]
-    kappa = [[_symmetric_weight(w, tree, ball[b], ball[c]) for c in kids]
-             for b, kids in enumerate(children)]
-    return branch_series(children, [kmax - h for h in depth], kappa)[0]
+    weights = None if weight is None else [[kappa(ball[b], ball[c]) for c in kids]
+                                           for b, kids in enumerate(children)]
+    return branch_series(children, [kmax - h for h in depth], weights)[0]
 
 
-def _symmetric_weight(w: WeightFn, g: Graph, x: int, y: int):
-    return edge_weight(w, g, x, y) * edge_weight(w, g, y, x)
-
-
-def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
+def walk_identity_check(tree: Graph, root: int, k: int,
+                        weight: Mapping[tuple[int, int], object] | None = None):
     """Residual of the profile-conditioned walk decomposition.
 
     The weighted closed-walk count from ``root`` must equal, summed over Dyck
@@ -289,6 +240,7 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
     ``test_06_walk_identity_on_random_trees`` and in the ``test_walk_identity_*``
     tests of ``tests/test_walks.py``; no command calls it.
     """
+    kappa = _kappa(weight)
     if k < 1:
         raise GraphInputError(f"walk_identity_check needs k >= 1, got {k}")
     if k > IDENTITY_K_LIMIT:
@@ -299,7 +251,7 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
             f"got {tree.vertex_count}"
         )
     _check_tree(tree)
-    lhs = weighted_closed_walks(tree, root, k, w)[k]
+    lhs = weighted_closed_walks(tree, root, k, weight)[k]
 
     # parent[v] is the neighbour of v on the path back to root
     dist = bfs_distances(tree, root)
@@ -322,7 +274,7 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
             for z in tree.adjacency[cur]:
                 if z == parent[cur]:
                     continue
-                total += go(z, idx + 1, acc * _symmetric_weight(w, tree, cur, z))
+                total += go(z, idx + 1, acc * kappa(cur, z))
             return total
 
         return go(first, 1, 1)
@@ -330,5 +282,5 @@ def walk_identity_check(tree: Graph, root: int, k: int, w: WeightFn):
     rhs = 0
     for h in enumerate_dyck(k):
         for y in tree.adjacency[root]:
-            rhs += _symmetric_weight(w, tree, root, y) * profile_sum(y, h.steps)
+            rhs += kappa(root, y) * profile_sum(y, h.steps)
     return abs(lhs - rhs)

@@ -26,6 +26,11 @@ def random_tree(n, rng) -> Graph:
     return build_graph(edges, n)
 
 
+def srw_weights(g: Graph) -> dict:
+    """The simple random walk's step weights: 1 / deg x on every directed edge (x, y)."""
+    return {(x, y): 1.0 / g.degree(x) for x in range(g.vertex_count) for y in g.adjacency[x]}
+
+
 def random_connected_graph(n, extra_edges, rng) -> Graph:
     edges = set((int(rng.integers(i)), i) for i in range(1, n))
     tries = 0

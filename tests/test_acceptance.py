@@ -15,7 +15,6 @@ import pytest
 from unispec import (
     DegreeDistribution,
     GraphInputError,
-    WeightFn,
     adjacency_spectrum,
     ball_census,
     closed_walk_counts,
@@ -50,6 +49,7 @@ from fixture_graphs import (
     CONNECTED_NON_TREE,
     random_connected_graph,
     random_tree,
+    srw_weights,
 )
 
 
@@ -67,7 +67,7 @@ def test_01_regular_tree_radius():
 def test_02_cycle_cover_central_binomial():
     start = time.perf_counter()
     ball = universal_cover_ball(generate("cycle", 9), 0, 500)
-    counts = cover_walk_counts(ball, 500).counts
+    counts = cover_walk_counts(ball, 500)
     for k in range(11):
         assert counts[2 * k] == math.comb(2 * k, k)
     norm = math.exp(math.log(counts[1000]) / 1000)
@@ -81,8 +81,8 @@ def test_03_lifting_inequality(name):
     g = FIXTURES[name]
     for base in range(g.vertex_count):
         ball = universal_cover_ball(g, base, 8)
-        cover_counts = cover_walk_counts(ball, 8).counts
-        base_counts = closed_walk_counts(g, base, 16, budget=16).counts
+        cover_counts = cover_walk_counts(ball, 8)
+        base_counts = closed_walk_counts(g, base, 16)
         for k in range(1, 9):
             assert cover_counts[2 * k] <= base_counts[2 * k]  # exact integers
 
@@ -137,13 +137,13 @@ def test_06_walk_identity_on_random_trees():
         tree = random_tree(int(rng.integers(3, 13)), rng)
         root = int(rng.integers(tree.vertex_count))
         k = 2 + i % 4  # k <= 5
-        assert walk_identity_check(tree, root, k, WeightFn.unit()) == 0
+        assert walk_identity_check(tree, root, k) == 0
         table = {}
         for u in range(tree.vertex_count):
             for v in tree.adjacency[u]:
                 table[(u, v)] = Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
-        assert walk_identity_check(tree, root, k, WeightFn.explicit(table)) == 0
-        assert walk_identity_check(tree, root, k, WeightFn.srw()) <= 1e-12
+        assert walk_identity_check(tree, root, k, table) == 0
+        assert walk_identity_check(tree, root, k, srw_weights(tree)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", LEAFLESS)
@@ -154,7 +154,7 @@ def test_07_cover_tail_mass_bound(name):
     rho = sigma(measure, 1)
     totals = [0] * 7
     for x in range(n):
-        counts = cover_walk_counts(universal_cover_ball(g, x, 6), 6).counts
+        counts = cover_walk_counts(universal_cover_ball(g, x, 6), 6)
         for k in range(1, 7):
             totals[k] += counts[2 * k]
     moments = [Fraction(totals[k], n) for k in range(1, 7)]
@@ -219,7 +219,7 @@ def test_11_moment_walk_equivalence(name):
     n = g.vertex_count
     adj = adjacency_spectrum(g).measure
     for k in range(9):
-        walk_avg = sum(closed_walk_counts(g, x, k).counts[k] for x in range(n)) / n
+        walk_avg = sum(closed_walk_counts(g, x, k)[k] for x in range(n)) / n
         mom = moment(adj, k)
         assert abs(mom - walk_avg) <= 1e-9 * max(1.0, abs(walk_avg))
     if g.min_degree >= 1:

@@ -149,7 +149,7 @@ def _cover_moments(g, kmax):
     n = g.vertex_count
     totals = [0] * (kmax + 1)
     for x in range(n):
-        counts = cover_walk_counts(universal_cover_ball(g, x, kmax), kmax).counts
+        counts = cover_walk_counts(universal_cover_ball(g, x, kmax), kmax)
         for k in range(1, kmax + 1):
             totals[k] += counts[2 * k]
     return [totals[k] / n for k in range(1, kmax + 1)]

@@ -252,6 +252,17 @@ def test_sample_walks_past_the_float_range(capsys, monkeypatch):
     assert (code, out) == (2, "") and "k = 5 passes the float range (max 1.8e+308)" in err, err
 
 
+def test_sample_walks_past_the_float_range_exits_before_counting(capsys, monkeypatch):
+    # W_2k of the line passes the float range at k = 515, so every sample's count does
+    def count(*args):
+        raise AssertionError("walks counted")
+
+    monkeypatch.setattr(ensembles, "_walk_series", count)
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "2:1", "--stat", "walks",
+                             "--k", "515", "--samples", "2")
+    assert (code, out) == (2, "") and "k = 515 passes the float range (max 1.8e+308)" in err, err
+
+
 def test_census_grid(capsys):
     code, out, _ = run_cli(capsys, "census", "--gen", "grid:6", "--radius", "1")
     assert code == 0

@@ -1,5 +1,6 @@
 import importlib
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -303,11 +304,17 @@ def test_load_graph_reports_offending_line(tmp_path):
 
 def test_public_surface_is_consistent():
     # perfbench's tracer getattrs every name in each module's __all__, so one stale entry
-    # breaks every traced run; the package re-exports every function and type of the library
+    # breaks every traced run; the package re-exports every function and type of the library,
+    # and nothing else, so a name a module stops listing cannot linger as a re-export
+    listed = set()
     for short in ("graph", "spectra", "walks", "cover", "nbw", "ensembles", "bounds", "cli"):
         module = importlib.import_module(f"unispec.{short}")
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], short
+        listed.update(module.__all__)
         if short != "cli":
             unexported = [name for name in module.__all__ if not name.isupper()
                           and getattr(unispec, name, None) is not getattr(module, name)]
             assert unexported == [], short
+    unlisted = [name for name, value in vars(unispec).items() if not name.startswith("_")
+                and not isinstance(value, types.ModuleType) and name not in listed]
+    assert unlisted == []

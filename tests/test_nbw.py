@@ -124,7 +124,7 @@ def _mtp_sides(g, transport):
     spheres = [[y for y, d in enumerate(bfs_distances(g, x, limit=r)) if d == r] for x in range(n)]
     sent = sum(h(deg[x], deg[y]) for x in range(n) for y in spheres[x])
     received = sum(h(deg[x], deg[y]) for y in range(n) for x in spheres[y])
-    a = g.adjacency_matrix(dtype=np.int64)
+    a = g.adjacency_matrix().astype(np.int64)
     at_r = a > 0 if r == 1 else (a @ a > 0) & (a == 0) & ~np.eye(n, dtype=bool)
     direct = sum(h(deg[x], deg[y]) for x, y in zip(*np.nonzero(at_r)))
     return Fraction(sent, n), Fraction(received, n), Fraction(direct, n)
