@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -11,7 +10,7 @@ from .graph import BudgetError, Graph, GraphInputError, build_graph
 from .walks import branch_series, closed_walk_counts
 
 __all__ = [
-    "NODE_BUDGET_DEFAULT",
+    "COVER_NODE_BUDGET",
     "CoverBall",
     "LiftCheck",
     "cover_ball_size",
@@ -22,20 +21,7 @@ __all__ = [
     "verify_lifting",
 ]
 
-NODE_BUDGET_DEFAULT = 5_000_000
-NODE_BUDGET_ENV = "UNISPEC_NODE_BUDGET"
-
-
-def _node_budget() -> int:
-    env = os.environ.get(NODE_BUDGET_ENV)
-    if not env:
-        return NODE_BUDGET_DEFAULT
-    try:
-        if int(env) >= 1:
-            return int(env)
-    except ValueError:
-        pass
-    raise GraphInputError(f"{NODE_BUDGET_ENV} must be a positive integer, got {env!r}")
+COVER_NODE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -55,35 +41,18 @@ class CoverBall:
     radius: int
 
 
-def _ball_size_estimate(max_degree: int, radius: int) -> int:
-    if radius == 0 or max_degree == 0:
-        return 1
-    if max_degree == 1:
-        return 2
-    if max_degree == 2:
-        return 2 * radius + 1
-    return 1 + max_degree * ((max_degree - 1) ** radius - 1) // (max_degree - 2)
-
-
 def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
     """Materialize the universal cover out to ``radius`` around a lift of ``base``.
 
+    Refused when its exact vertex count, ``cover_ball_size``, passes ``COVER_NODE_BUDGET``.
     The CLI builds none. With ``cover_walk_counts`` it is the test oracle of
     ``test_cover_walk_rows_match_*`` (rows and ``cover_ball_size``) and acceptance 02, 03, 07.
     """
-    if radius < 0:
-        raise GraphInputError(f"radius must be nonnegative, got {radius}")
-    if not g.is_connected():
-        raise GraphInputError("universal cover requires a connected graph")
-    budget = _node_budget()
-    estimate = _ball_size_estimate(g.max_degree, radius)
-    if estimate > budget:
-        raise BudgetError(
-            f"cover ball size estimate {estimate} exceeds node budget {budget} "
-            f"(max degree {g.max_degree}, radius {radius})"
-        )
+    size = cover_ball_size(g, base, radius)
+    if size > COVER_NODE_BUDGET:
+        raise BudgetError(f"cover ball of {size} vertices exceeds node budget {COVER_NODE_BUDGET}")
     # cover vertex i: base_of[i] = final base vertex, came_from[i] = base vertex
-    # preceding it on the path (-1 at the root), parent[i] = cover parent.
+    # preceding it on the path (-1 at the root).
     base_of = [base]
     came_from = [-1]
     depth_of = [0]
@@ -97,8 +66,6 @@ def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
                 if z == came_from[node]:
                     continue
                 idx = len(base_of)
-                if idx > budget:
-                    raise BudgetError(f"cover ball exceeded node budget {budget} at depth {depth}")
                 base_of.append(z)
                 came_from.append(b)
                 depth_of.append(depth + 1)
@@ -134,15 +101,15 @@ def cover_walk_counts(cb: CoverBall, kmax: int) -> list[int]:
 def _cover_branches(g: Graph, order: int) -> list[Sequence[int]]:
     """Successors of the cover's branches: directed edge (u, v) is the subtree entered from u
     at v, over the steps (v, w), w != u; then one root branch per vertex x, over every (x, y).
-    Series to z^order on these 2m + n branches count against the node budget."""
+    Series to z^order on these 2m + n branches count against ``COVER_NODE_BUDGET``."""
     if g.vertex_count == 0:
         raise GraphInputError("universal cover requires a nonempty graph")
     if not g.is_connected():
         raise GraphInputError("universal cover requires a connected graph")
-    budget = _node_budget()
     stored = (2 * g.edge_count + g.vertex_count) * (order + 1)
-    if stored > budget:
-        raise BudgetError(f"cover series of {stored} coefficients exceeds node budget {budget}")
+    if stored > COVER_NODE_BUDGET:
+        raise BudgetError(
+            f"cover series of {stored} coefficients exceeds node budget {COVER_NODE_BUDGET}")
     offsets = g.edge_offsets
     return [*g.nb_successors, *map(range, offsets, offsets[1:])]
 
@@ -161,6 +128,8 @@ def cover_ball_size(g: Graph, base: int, radius: int) -> int:
     if radius < 0:
         raise GraphInputError(f"radius must be nonnegative, got {radius}")
     succ = _cover_branches(g, radius)
+    if not 0 <= base < g.vertex_count:
+        raise GraphInputError(f"vertex {base} is not in 0..{g.vertex_count - 1}")
     sizes = [1] * len(succ)
     for _ in range(radius):
         sizes = [1 + sum(map(sizes.__getitem__, children)) for children in succ]
@@ -181,9 +150,10 @@ def verify_lifting(g: Graph, rows: list[list[int]], base: int) -> list[LiftCheck
     through the cover map, so every cover count is at most the base count; equality
     holds at every k when g is a tree.
     """
-    cover_counts = rows[base]
-    kmax = len(cover_counts) - 1
+    kmax = len(rows[0]) - 1
+    # closed_walk_counts refuses a base outside the graph before rows[base] reads from the end
     base_counts = closed_walk_counts(g, base, 2 * kmax)[::2]
+    cover_counts = rows[base]
     return [LiftCheck(k, cover_counts[k], base_counts[k], cover_counts[k] <= base_counts[k])
             for k in range(1, kmax + 1)]
 

@@ -122,6 +122,8 @@ def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
 def _bfs(g: Graph, source: int, limit: int | None) -> tuple[list[int], list[int]]:
     """The vertices within ``limit`` of ``source`` in BFS order, so each distance layer is
     one contiguous block, and the distances of ``bfs_distances``."""
+    if not 0 <= source < g.vertex_count:
+        raise GraphInputError(f"vertex {source} is not in 0..{g.vertex_count - 1}")
     dist = [-1] * g.vertex_count
     dist[source] = 0
     order = [source]

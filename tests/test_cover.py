@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from unispec import cover
 from unispec import (
     BudgetError,
+    GraphInputError,
     adjacency_spectrum,
+    build_graph,
     canonical_rooted_code,
     closed_walk_counts,
     cover_ball_size,
@@ -102,18 +105,23 @@ def test_cover_radius_guard():
 
 def test_node_budget_errors(monkeypatch):
     g = generate("complete", 4)
-    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "100")
-    with pytest.raises(BudgetError, match="estimate"):
+    monkeypatch.setattr(cover, "COVER_NODE_BUDGET", 100)
+    with pytest.raises(BudgetError, match="cover series of 176 coefficients"):
         universal_cover_ball(g, 0, 10)
 
 
-def test_node_budget_env_override(monkeypatch):
-    g = generate("complete", 4)
-    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "100")
-    with pytest.raises(BudgetError):
+def test_node_budget_is_the_exact_ball_size(monkeypatch):
+    g = generate("complete", 4)  # 1 + 3*(2^10 - 1) = 3070 vertices within radius 10
+    monkeypatch.setattr(cover, "COVER_NODE_BUDGET", 3070)
+    assert universal_cover_ball(g, 0, 10).tree.vertex_count == 3070
+    monkeypatch.setattr(cover, "COVER_NODE_BUDGET", 3069)
+    with pytest.raises(BudgetError, match="cover ball of 3070 vertices"):
         universal_cover_ball(g, 0, 10)
-    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "10000000")
-    assert universal_cover_ball(g, 0, 10).tree.vertex_count == 3070  # 1 + 3*(2^10 - 1)
+
+
+def test_cover_ball_of_empty_graph_is_refused():
+    with pytest.raises(GraphInputError, match="nonempty"):
+        universal_cover_ball(build_graph([], 0), 0, 0)
 
 
 def test_lifting_c3():
@@ -167,7 +175,7 @@ def test_cover_walk_rows_match_materialized_cover(name):
 
 def test_cover_walk_rows_budget(monkeypatch):
     g = generate("cycle", 4)  # 2m + n = 12 series, kmax + 1 coefficients each
-    monkeypatch.setenv("UNISPEC_NODE_BUDGET", "36")
+    monkeypatch.setattr(cover, "COVER_NODE_BUDGET", 36)
     assert cover_walk_rows(g, 2) == [[1, 2, 6]] * 4
     with pytest.raises(BudgetError, match="48 coefficients"):
         cover_walk_rows(g, 3)

@@ -1,7 +1,9 @@
 import importlib
 import math
+import re
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +320,34 @@ def test_public_surface_is_consistent():
     unlisted = [name for name, value in vars(unispec).items() if not name.startswith("_")
                 and not isinstance(value, types.ModuleType) and name not in listed]
     assert unlisted == []
+
+
+# every public function that takes a root or base vertex; path:5 is a tree, so the
+# tree-only walk functions take it too
+ROOTED_CALLS = {
+    "bfs_distances": unispec.bfs_distances,
+    "closed_walk_counts": lambda g, v: unispec.closed_walk_counts(g, v, 4),
+    "srw_return_probs": lambda g, v: unispec.srw_return_probs(g, v, 4),
+    "weighted_closed_walks": lambda g, v: unispec.weighted_closed_walks(g, v, 2),
+    "walk_identity_check": lambda g, v: unispec.walk_identity_check(g, v, 1),
+    "canonical_rooted_code": lambda g, v: unispec.canonical_rooted_code(g, v, 2),
+    "cover_ball_size": lambda g, v: unispec.cover_ball_size(g, v, 3),
+    "universal_cover_ball": lambda g, v: unispec.universal_cover_ball(g, v, 2),
+    "verify_lifting": lambda g, v: unispec.verify_lifting(g, unispec.cover_walk_rows(g, 2), v),
+}
+
+
+@pytest.mark.parametrize("vertex", [-1, 5])
+@pytest.mark.parametrize("name", sorted(ROOTED_CALLS))
+def test_root_outside_the_graph_is_refused(name, vertex):
+    # a negative root used to index from the end and give wrong counts without an error
+    with pytest.raises(GraphInputError, match=rf"^vertex {vertex} is not in 0\.\.4$"):
+        ROOTED_CALLS[name](generate("path", 5), vertex)
+
+
+def test_library_reads_no_environment():
+    # a run is fixed by its argv, which every report records in ``config``
+    package = Path(unispec.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if re.search(r"\b(environ|getenv)\b", path.read_text())]
+    assert readers == []
