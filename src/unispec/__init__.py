@@ -71,12 +71,10 @@ from .ensembles import (
 )
 from .bounds import (
     AlonBoppanaRow,
-    BoundReport,
     alon_boppana_degree_bound,
     alon_boppana_report,
     hoory_bound,
     sphere_growth_bounds,
-    srw_tail_threshold,
     tail_mass_constant,
     tail_mass_lower_bound,
     tree_spectral_radius_bounds,

@@ -10,7 +10,6 @@ exp in full precision, no series approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graph import DegreeDistribution, DegreeStats, Graph, GraphInputError, degree_stats
@@ -18,12 +17,10 @@ from .spectra import adjacency_spectrum, sigma
 
 __all__ = [
     "AlonBoppanaRow",
-    "BoundReport",
     "alon_boppana_degree_bound",
     "alon_boppana_report",
     "hoory_bound",
     "sphere_growth_bounds",
-    "srw_tail_threshold",
     "tail_mass_constant",
     "tail_mass_lower_bound",
     "tree_spectral_radius_bounds",
@@ -58,7 +55,9 @@ def tree_spectral_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tupl
 def tree_srw_radius_bounds(stats: DegreeStats | DegreeDistribution) -> tuple[float, float]:
     """Lower bounds on the simple-random-walk spectral radius of such a tree.
 
-    b1 = 2 exp(E[D log(sqrt(D-1)/D)] / E[D]) and b2 = 2 E[D] sqrt(E[D]-1) / E[D^2].
+    b1 = 2 exp(E[D log(sqrt(D-1)/D)] / E[D]) and b2 = 2 E[D] sqrt(E[D]-1) / E[D^2]; b2 is
+    also the threshold below which the Markov spectrum of a growing leafless sequence keeps
+    positive mass (the ``srw_tail_threshold`` row of ``analyze``).
     """
     _require_leafless(stats)
     b1 = 2.0 * math.exp((stats.dlog_mean / 2.0 - stats.dlogd_mean) / stats.d_av)
@@ -122,12 +121,6 @@ def tail_mass_constant(
     return TailMassConstant(c, big_k)
 
 
-def srw_tail_threshold(stats: DegreeStats | DegreeDistribution) -> float:
-    """2 d_av sqrt(d_av - 1) / E[deg^2], the b2 of ``tree_srw_radius_bounds``: the threshold
-    below which the Markov spectrum of a growing leafless sequence keeps positive mass."""
-    return tree_srw_radius_bounds(stats)[1]
-
-
 def sphere_growth_bounds(stats: DegreeStats | DegreeDistribution, r: int) -> tuple[float, float]:
     """Lower bounds on the expected sphere size E[|S_r|] of a leafless tree.
 
@@ -164,54 +157,3 @@ def alon_boppana_report(graphs: Sequence[Graph], j: int) -> list[AlonBoppanaRow]
         rows.append(AlonBoppanaRow(stats.n, s, bound, s - bound))
     return rows
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound comparison with provenance on both sides.
-
-    ``passed`` is only set when both sides are exact or carry a certified
-    direction (e.g. truncated-k lower estimates); Monte Carlo comparisons
-    leave it None and state consistency within a 3-stderr band instead.
-    """
-
-    name: str
-    bound: float
-    observed: float | None
-    bound_provenance: str  # exact | truncated-k | monte-carlo
-    observed_provenance: str
-    stderr: float | None = None
-    note: str = ""
-
-    @property
-    def slack(self) -> float | None:
-        if self.observed is None:
-            return None
-        return self.observed - self.bound
-
-    @property
-    def passed(self) -> bool | None:
-        if self.observed is None:
-            return None
-        if "monte-carlo" in (self.bound_provenance, self.observed_provenance):
-            return None
-        return self.observed >= self.bound
-
-    @property
-    def consistent_within_error(self) -> bool | None:
-        if self.observed is None or self.stderr is None:
-            return None
-        return self.observed + 3.0 * self.stderr >= self.bound
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "observed": self.observed,
-            "slack": self.slack,
-            "passed": self.passed,
-            "consistent_within_error": self.consistent_within_error,
-            "bound_provenance": self.bound_provenance,
-            "observed_provenance": self.observed_provenance,
-            "stderr": self.stderr,
-            "note": self.note,
-        }

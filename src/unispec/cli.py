@@ -306,8 +306,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
                 "hoory_bound": {"value": bounds_mod.hoory_bound(stats), "provenance": "exact"},
                 "srw_radius_entropy_bound": {"value": s1, "provenance": "exact"},
                 "srw_radius_moment_bound": {"value": s2, "provenance": "exact"},
-                "srw_tail_threshold": {"value": bounds_mod.srw_tail_threshold(stats),
-                                       "provenance": "exact"},
+                "srw_tail_threshold": {"value": s2, "provenance": "exact"},
                 f"sphere_growth_bounds_r{r}": {"value": [g1, g2], "provenance": "exact"},
             }
         )
@@ -383,14 +382,18 @@ def _cmd_sample(cfg: RunConfig) -> int:
     }
     if stat == "sphere" and pi.min_degree >= 2:
         b1, _ = bounds_mod.sphere_growth_bounds(pi, r)
-        payload["growth_bound"] = bounds_mod.BoundReport(
-            name="sphere_growth_lower_bound",
-            bound=b1,
-            observed=est.mean,
-            bound_provenance="exact",
-            observed_provenance="monte-carlo",
-            stderr=est.stderr,
-        ).to_dict()
+        payload["growth_bound"] = {
+            "name": "sphere_growth_lower_bound",
+            "bound": b1,
+            "observed": est.mean,
+            "slack": est.mean - b1,
+            "passed": None,  # a Monte Carlo mean neither passes nor fails a bound
+            "consistent_within_error": est.mean + 3.0 * est.stderr >= b1,
+            "bound_provenance": "exact",
+            "observed_provenance": "monte-carlo",
+            "stderr": est.stderr,
+            "note": "",
+        }
     _write_report(payload, cfg)
     return 0
 
@@ -477,19 +480,23 @@ _FLAGS = {
 _GRAPH = ("--input", "--gen", "--seed")
 _OUTPUT = ("--out", "--pretty")
 
-# each subcommand registers only the flags it reads, so any other flag exits 2;
-# --format only where there is a CSV rendering, and prefix matching is off
+# name -> (help, flags, handler); each subcommand registers only the flags it reads,
+# so any other flag exits 2; --format only where there is a CSV rendering, and prefix
+# matching is off
 _SUBCOMMANDS = {
     "analyze": ("degree stats, spectra, bounds, self-checks",
-                _GRAPH + _OUTPUT + ("--format", "--kmax", "--r")),
+                _GRAPH + _OUTPUT + ("--format", "--kmax", "--r"), _cmd_analyze),
     "cover": ("truncated universal cover walk table and radius estimate",
-              _GRAPH + _OUTPUT + ("--format", "--kmax", "--radius")),
+              _GRAPH + _OUTPUT + ("--format", "--kmax", "--radius"), _cmd_cover),
     "sample": ("Monte Carlo estimates over random trees",
-               ("what", "--pi", "--samples", "--stat", "--k", "--r", "--seed") + _OUTPUT),
-    "census": ("canonical rooted-ball census", _GRAPH + _OUTPUT + ("--format", "--radius")),
-    "verify": ("run a check suite and print pass/fail lines", _GRAPH + ("--kmax", "--suite")),
+               ("what", "--pi", "--samples", "--stat", "--k", "--r", "--seed") + _OUTPUT,
+               _cmd_sample),
+    "census": ("canonical rooted-ball census", _GRAPH + _OUTPUT + ("--format", "--radius"),
+               _cmd_census),
+    "verify": ("run a check suite and print pass/fail lines", _GRAPH + ("--kmax", "--suite"),
+               _cmd_verify),
     "report": ("combined analyze + cover + checks report",
-               _GRAPH + _OUTPUT + ("--kmax", "--radius")),
+               _GRAPH + _OUTPUT + ("--kmax", "--radius"), _cmd_report),
 }
 
 
@@ -500,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra, walk counts, universal covers, and NBW statistics of finite graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, flags, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -526,16 +533,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "cover": _cmd_cover,
-    "sample": _cmd_sample,
-    "census": _cmd_census,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -544,7 +541,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[cfg.subcommand][2](cfg)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

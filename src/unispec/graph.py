@@ -43,8 +43,8 @@ class Graph:
     """Undirected simple graph in adjacency-list form.
 
     ``adjacency[v]`` is the sorted tuple of neighbours of ``v``. The structure
-    is immutable and hashable, so graphs can be shared freely across parallel
-    workers; every operation in this package treats it as read-only.
+    is immutable and hashable; every operation in this package treats it as
+    read-only.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -166,6 +166,9 @@ def _checked_graph(edges: Iterable[tuple[int, int]], n: int, label) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Induced subgraph on ``vertices``, relabelled 0..k-1 in the given order."""
+    for v in vertices:
+        if not 0 <= v < g.vertex_count:
+            raise GraphInputError(f"vertex {v} is not in 0..{g.vertex_count - 1}")
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise GraphInputError("duplicate vertices in induced_subgraph selection")

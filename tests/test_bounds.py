@@ -16,7 +16,6 @@ from unispec import (
     nbw_entropy,
     sigma,
     sphere_growth_bounds,
-    srw_tail_threshold,
     tail_mass,
     tail_mass_constant,
     tail_mass_lower_bound,
@@ -72,7 +71,7 @@ def test_srw_bounds_uniform23():
     assert b1 >= b2
 
 
-BOUNDS = [tree_spectral_radius_bounds, tree_srw_radius_bounds, hoory_bound, srw_tail_threshold,
+BOUNDS = [tree_spectral_radius_bounds, tree_srw_radius_bounds, hoory_bound,
           lambda stats: sphere_growth_bounds(stats, 3), nbw_entropy]
 
 
@@ -80,7 +79,7 @@ def test_leaf_rejection():
     with pytest.raises(GraphInputError):
         tree_spectral_radius_bounds(degree_stats(FIXTURES["p5"]))
     with pytest.raises(GraphInputError):
-        srw_tail_threshold(degree_stats(FIXTURES["star3"]))
+        tree_srw_radius_bounds(degree_stats(FIXTURES["star3"]))
     for bound in BOUNDS:
         with pytest.raises(GraphInputError):
             bound(DegreeDistribution.from_string("1:0.5,3:0.5"))
@@ -170,10 +169,9 @@ def test_tail_mass_constant_self_consistency(name):
 
 
 def test_srw_tail_threshold_values():
-    assert abs(srw_tail_threshold(degree_stats(FIXTURES["k4"])) - 2 * SQRT2 / 3) < 1e-14
-    assert srw_tail_threshold(degree_stats(FIXTURES["c6"])) == 1.0
-    got = srw_tail_threshold(degree_stats(FIXTURES["c4_chord"]))
-    assert abs(got - 0.9421114395319916) < 1e-12
+    # the threshold is b2 of the SRW radius bounds, 2 d_av sqrt(d_av - 1) / E[deg^2]
+    assert abs(tree_srw_radius_bounds(degree_stats(FIXTURES["k4"]))[1] - 2 * SQRT2 / 3) < 1e-14
+    assert tree_srw_radius_bounds(degree_stats(FIXTURES["c6"]))[1] == 1.0
 
 
 def test_sphere_growth_bounds():
@@ -225,20 +223,6 @@ def test_hoory_examples():
     b1, _ = tree_spectral_radius_bounds(stats)
     assert abs(hoory_bound(stats) - b1) <= 1e-12
     assert abs(b1 - 2.4622888266898326) < 1e-12
-
-
-def test_bound_report_semantics():
-    from unispec import BoundReport
-
-    exact = BoundReport("tail", 1.0, 2.0, "exact", "exact")
-    assert exact.passed is True
-    assert exact.slack == 1.0
-    assert exact.to_dict()["passed"] is True
-    mc = BoundReport("growth", 1.0, 0.99, "exact", "monte-carlo", stderr=0.01)
-    assert mc.passed is None  # never conflate "violated" with "noisy"
-    assert mc.consistent_within_error is True
-    far = BoundReport("growth", 1.0, 0.5, "exact", "monte-carlo", stderr=0.01)
-    assert far.consistent_within_error is False
 
 
 def _random_distribution(rng):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ def test_analyze_cycle_stdout(capsys):
 def test_analyze_check_rows(capsys):
     code, out, err = run_cli(capsys, "analyze", "--gen", "complete:5")
     assert code == 0, err
-    assert [row["name"] for row in json.loads(out)["checks"]] == [
+    report = json.loads(out)
+    assert [row["name"] for row in report["checks"]] == [
         "core_peel_idempotent", "hoory_lambda_two_forms",
         "adjacency_moment_walk_equivalence", "markov_moment_return_equivalence",
         "lifting_w2k_cover_le_base_k4",
@@ -44,6 +46,9 @@ def test_analyze_check_rows(capsys):
         "jensen_tree_radius_b1_ge_b2", "hoory_equals_entropy_bound", "cover_tail_mass_bound",
         "tail_mass_constant_self_consistency",
     ]
+    # the threshold row is b2 of the SRW radius bounds under its own key
+    values = report["bounds"]
+    assert values["srw_tail_threshold"]["value"] == values["srw_radius_moment_bound"]["value"]
 
 
 def test_analyze_deterministic(capsys, tmp_path):
@@ -184,8 +189,31 @@ def test_sample_sphere_growth_bound_radius(capsys):
     assert code == 0
     report = json.loads(out)
     pi = graph.DegreeDistribution.from_string("2:0.5,3:0.5")
-    assert report["growth_bound"]["bound"] == bounds.sphere_growth_bounds(pi, 5)[0]
+    row = report["growth_bound"]
+    assert row["bound"] == bounds.sphere_growth_bounds(pi, 5)[0]
     assert "depth" not in report["config"]
+    assert sorted(row) == sorted([
+        "name", "bound", "observed", "slack", "passed", "consistent_within_error",
+        "bound_provenance", "observed_provenance", "stderr", "note"])
+    assert row["passed"] is None  # never conflate "violated" with "noisy"
+    assert row["observed"] == report["mean"]
+    assert row["slack"] == row["observed"] - row["bound"]
+    assert row["consistent_within_error"] is True
+    assert (row["bound_provenance"], row["observed_provenance"]) == ("exact", "monte-carlo")
+
+
+def test_sample_sphere_growth_bound_far_below(capsys, monkeypatch):
+    # a mean far more than 3 stderrs below the bound (about 5.74 at r = 3) is inconsistent,
+    # and still not failed
+    far = ensembles.Estimate(mean=0.5, stderr=0.01, samples=10, seed=0)
+    monkeypatch.setattr(ensembles, "estimate_sphere", lambda *args: (far, None))
+    code, out, err = run_cli(capsys, "sample", "ugw", "--pi", "2:0.5,3:0.5", "--samples", "10",
+                             "--stat", "sphere", "--r", "3")
+    assert code == 0, err
+    row = json.loads(out)["growth_bound"]
+    assert row["consistent_within_error"] is False
+    assert row["slack"] < 0
+    assert row["passed"] is None
 
 
 def test_sample_sphere_leafy_law(capsys):
@@ -415,6 +443,24 @@ def test_pretty_render(capsys):
     assert code == 0
     assert "degree_stats" in out
     assert not out.lstrip().startswith("{")
+
+
+def test_pretty_with_out_writes_json_to_the_file_and_the_table_to_stdout(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "analyze", "--gen", "cycle:6", "--pretty",
+                             "--out", str(target))
+    assert code == 0, err
+    assert json.loads(target.read_text())["config"]["pretty"] is True
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    assert "schema: unispec.analyze.v1" in out.splitlines()
+
+
+def test_readme_cli_section_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented == {flag for flag in cli._FLAGS if flag.startswith("--")}
 
 
 def test_report_cover_series(capsys, tmp_path):

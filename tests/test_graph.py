@@ -322,8 +322,8 @@ def test_public_surface_is_consistent():
     assert unlisted == []
 
 
-# every public function that takes a root or base vertex; path:5 is a tree, so the
-# tree-only walk functions take it too
+# every public function that takes a vertex (a root, a base vertex, or one vertex of a
+# selection); path:5 is a tree, so the tree-only walk functions take it too
 ROOTED_CALLS = {
     "bfs_distances": unispec.bfs_distances,
     "closed_walk_counts": lambda g, v: unispec.closed_walk_counts(g, v, 4),
@@ -334,6 +334,7 @@ ROOTED_CALLS = {
     "cover_ball_size": lambda g, v: unispec.cover_ball_size(g, v, 3),
     "universal_cover_ball": lambda g, v: unispec.universal_cover_ball(g, v, 2),
     "verify_lifting": lambda g, v: unispec.verify_lifting(g, unispec.cover_walk_rows(g, 2), v),
+    "induced_subgraph": lambda g, v: unispec.induced_subgraph(g, [v, 0]),
 }
 
 
