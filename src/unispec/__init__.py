@@ -19,8 +19,7 @@ from .graph import (
     parse_edge_list,
 )
 from .spectra import (
-    EigenReport,
-    SpectralMeasure,
+    Spectrum,
     adjacency_spectrum,
     eigenvalues_csv,
     markov_spectrum,
@@ -29,7 +28,6 @@ from .spectra import (
     tail_mass,
 )
 from .walks import (
-    DyckPath,
     branch_series,
     catalan,
     closed_walk_counts,

@@ -152,7 +152,7 @@ def alon_boppana_report(graphs: Sequence[Graph], j: int) -> list[AlonBoppanaRow]
         if not g.is_connected():
             raise GraphInputError("alon_boppana_report requires connected graphs")
         stats = degree_stats(g)
-        s = sigma(adjacency_spectrum(g).measure, j)
+        s = sigma(adjacency_spectrum(g), j)
         bound = alon_boppana_degree_bound(stats)
         rows.append(AlonBoppanaRow(stats.n, s, bound, s - bound))
     return rows

@@ -151,21 +151,21 @@ def _suite_graph(g: Graph, stats: DegreeStats) -> list[dict]:
     return rows
 
 
-def _suite_walks(g: Graph, kmax: int, report: spectra.EigenReport,
-                 mreport: spectra.EigenReport | None) -> list[dict]:
+def _suite_walks(g: Graph, kmax: int, adjacency: spectra.Spectrum,
+                 markov: spectra.Spectrum | None) -> list[dict]:
     # entry k of a walk table does not depend on the length the iteration runs to
     n = g.vertex_count
     worst = 0.0
     columns = zip(*(walks.closed_walk_counts(g, x, kmax) for x in range(n)))
     for k, column in enumerate(columns):
-        mom = spectra.moment(report.measure, k)
+        mom = spectra.moment(adjacency, k)
         worst = max(worst, abs(mom - sum(column) / n) / max(1.0, abs(mom)))
     rows = [_check("adjacency_moment_walk_equivalence", worst <= 1e-9, worst)]
-    if mreport is not None:
+    if markov is not None:
         worst_m = 0.0
         columns = zip(*(walks.srw_return_probs(g, x, kmax) for x in range(n)))
         for k, column in enumerate(columns):
-            mom = spectra.moment(mreport.measure, k)
+            mom = spectra.moment(markov, k)
             worst_m = max(worst_m, abs(mom - sum(column) / n))
         rows.append(_check("markov_moment_return_equivalence", worst_m <= 1e-9, worst_m))
     return rows
@@ -191,13 +191,13 @@ def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
 
 
 def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
-                  measure: spectra.SpectralMeasure) -> list[dict]:
+                  adjacency: spectra.Spectrum) -> list[dict]:
     rows = []
     b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
     rows.append(_check("jensen_tree_radius_b1_ge_b2", b1 >= b2 - 1e-12, max(0.0, b2 - b1)))
     dev = abs(bounds_mod.hoory_bound(stats) - b1)
     rows.append(_check("hoory_equals_entropy_bound", dev <= 1e-12, dev))
-    rho = spectra.sigma(measure, 1)
+    rho = spectra.sigma(adjacency, 1)
     moments = [sum(column) / g.vertex_count for column in list(zip(*cover_rows))[1:]]
     rho_est = cover_mod.rho_cover_estimate(cover_rows)[-1]
     ok = True
@@ -205,11 +205,11 @@ def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
         for i in range(1, 20):
             a = rho_est * i / 20.0
             lower = bounds_mod.tail_mass_lower_bound(moment, rho, a, k)
-            ok &= spectra.tail_mass(measure, a) >= lower - 1e-12
+            ok &= spectra.tail_mass(adjacency, a) >= lower - 1e-12
     rows.append(_check("cover_tail_mass_bound", ok, 0.0 if ok else 1.0))
     eps = 0.3 * rho_est
     c, big_k = bounds_mod.tail_mass_constant(eps, rho, moments, rho_est)
-    mass = spectra.tail_mass(measure, rho_est - eps)
+    mass = spectra.tail_mass(adjacency, rho_est - eps)
     rows.append(_check("tail_mass_constant_self_consistency", mass >= c > 0.0, max(0.0, c - mass),
                        note=f"K={big_k}"))
     return rows
@@ -218,8 +218,8 @@ def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
 SUITES = ("graph", "walks", "lifting", "nbw", "bounds", "all")
 
 
-def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport | None = None,
-                markov: spectra.EigenReport | None = None,
+def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.Spectrum | None = None,
+                markov: spectra.Spectrum | None = None,
                 cover_rows: list[list[int]] | None = None,
                 stats: DegreeStats | None = None) -> list[dict]:
     """Rows of the selected suites. A spectrum, or the ``cover_walk_rows`` of order
@@ -259,7 +259,7 @@ def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport 
         elif name == "nbw":
             rows.extend(_suite_nbw(g, stats))
         elif name == "bounds":
-            rows.extend(_suite_bounds(g, stats, cover_rows, adjacency.measure))
+            rows.extend(_suite_bounds(g, stats, cover_rows, adjacency))
     return rows
 
 
@@ -268,17 +268,13 @@ def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.EigenReport 
 # ----------------------------------------------------------------------------
 
 
-def _spectrum_summary(report: spectra.EigenReport | None) -> dict | None:
-    """sigma_1..5 and tail masses on a 10-point grid up to sigma_1 (adjacency) or 1 (Markov)."""
-    if report is None:
-        return None
-    sig = [spectra.sigma(report.measure, j) for j in range(1, 6)]
-    top = sig[0] if report.measure.kind == "adjacency" else 1.0
+def _spectrum_summary(spectrum: spectra.Spectrum, top: float) -> dict:
+    """sigma_1..5 and tail masses on the 10-point grid top * i / 10, i = 0..9."""
     grid = [round(top * i / 10.0, 12) for i in range(10)]
     return {
-        "sigma_1_to_5": sig,
-        "tail_mass_grid": [[a, spectra.tail_mass(report.measure, a)] for a in grid],
-        "max_residual": report.max_residual,
+        "sigma_1_to_5": [spectra.sigma(spectrum, j) for j in range(1, 6)],
+        "tail_mass_grid": [[a, spectra.tail_mass(spectrum, a)] for a in grid],
+        "max_residual": spectrum.max_residual,
         "provenance": "exact",
     }
 
@@ -286,8 +282,8 @@ def _spectrum_summary(report: spectra.EigenReport | None) -> dict | None:
 def _cmd_analyze(cfg: RunConfig) -> int:
     g = _resolve_graph(cfg)
     stats = degree_stats(g)
-    report_adj = spectra.adjacency_spectrum(g)
-    report_markov = spectra.markov_spectrum(g) if g.min_degree >= 1 else None
+    adjacency = spectra.adjacency_spectrum(g)
+    markov = spectra.markov_spectrum(g) if g.min_degree >= 1 else None
     bound_values: dict[str, object] = {
         "alon_boppana_degree_bound": {
             "value": bounds_mod.alon_boppana_degree_bound(stats),
@@ -313,18 +309,20 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     else:
         bound_values["note"] = "degree-moment bounds undefined: graph has a leaf"
     checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4,
-                         report_adj, report_markov, stats=stats)
+                         adjacency, markov, stats=stats)
     payload = {
         "schema": f"{SCHEMA_PREFIX}.analyze.v1",
         "config": cfg.to_dict(),
         "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": g.is_connected()},
         "degree_stats": asdict(stats),
-        "spectra": {"adjacency": _spectrum_summary(report_adj),
-                    "markov": _spectrum_summary(report_markov)},
+        "spectra": {
+            "adjacency": _spectrum_summary(adjacency, spectra.sigma(adjacency, 1)),
+            "markov": None if markov is None else _spectrum_summary(markov, 1.0),
+        },
         "bounds": bound_values,
         "checks": checks,
     }
-    _write_report(payload, cfg, csv_text=spectra.eigenvalues_csv(report_adj.measure))
+    _write_report(payload, cfg, csv_text=spectra.eigenvalues_csv(adjacency))
     return 0
 
 

@@ -500,6 +500,8 @@ def tv_distance(a: Census, b: Census) -> float:
     """Total variation distance between two censuses of equal radius."""
     if a.radius != b.radius:
         raise GraphInputError(f"census radii differ: {a.radius} vs {b.radius}")
+    if a.total == 0 or b.total == 0:
+        raise GraphInputError("total variation of an empty census is undefined")
     codes = set(a.counts) | set(b.counts)
     total = Fraction(0)
     for code in codes:

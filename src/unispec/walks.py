@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -19,7 +18,6 @@ from .graph import BudgetError, Graph, GraphInputError, _bfs, bfs_distances
 
 __all__ = [
     "DYCK_ENUM_LIMIT",
-    "DyckPath",
     "branch_series",
     "catalan",
     "closed_walk_counts",
@@ -119,31 +117,9 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """A +1/-1 step sequence with all prefix sums >= 0 and total 0: the height profile of a
-    closed tree walk, enumerated by ``walk_identity_check`` (the oracle of
-    ``test_06_walk_identity_on_random_trees`` and the ``test_walk_identity_*`` tests)."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        height = 0
-        for s in self.steps:
-            if s not in (1, -1):
-                raise ValueError(f"Dyck steps must be +1 or -1, got {s}")
-            height += s
-            if height < 0:
-                raise ValueError("Dyck prefix sum went negative")
-        if height != 0:
-            raise ValueError("Dyck path must return to height 0")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def enumerate_dyck(k: int) -> list[DyckPath]:
-    """All Dyck paths of length 2k. Capped (C_14 = 2674440 paths already).
+def enumerate_dyck(k: int) -> list[tuple[int, ...]]:
+    """All Dyck paths of length 2k as +1/-1 step tuples (prefix sums >= 0, total 0), the
+    height profiles of closed tree walks. Capped (C_14 = 2674440 paths already).
 
     Only ``walk_identity_check`` reads it, as the brute-force side of the oracle of
     ``test_06_walk_identity_on_random_trees`` and the ``test_walk_identity_*`` tests.
@@ -152,12 +128,12 @@ def enumerate_dyck(k: int) -> list[DyckPath]:
         raise ValueError(f"k must be nonnegative, got {k}")
     if k > DYCK_ENUM_LIMIT:
         raise BudgetError(f"Dyck enumeration k={k} exceeds limit {DYCK_ENUM_LIMIT}")
-    paths: list[DyckPath] = []
+    paths: list[tuple[int, ...]] = []
     steps: list[int] = []
 
     def extend(height: int, ups_left: int, downs_left: int):
         if ups_left == 0 and downs_left == 0:
-            paths.append(DyckPath(tuple(steps)))
+            paths.append(tuple(steps))
             return
         if ups_left > 0:
             steps.append(1)
@@ -282,5 +258,5 @@ def walk_identity_check(tree: Graph, root: int, k: int,
     rhs = 0
     for h in enumerate_dyck(k):
         for y in tree.adjacency[root]:
-            rhs += kappa(root, y) * profile_sum(y, h.steps)
+            rhs += kappa(root, y) * profile_sum(y, h)
     return abs(lhs - rhs)

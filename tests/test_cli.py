@@ -83,6 +83,19 @@ def test_analyze_csv_eigenvalues(capsys):
     assert [round(v, 9) for v in values] == [-2.0, -0.0, 0.0, 2.0]
 
 
+def test_analyze_tail_mass_grid_tops(capsys):
+    # the adjacency grid runs up to sigma_1 (2 on a cycle), the Markov grid up to 1
+    code, out, err = run_cli(capsys, "analyze", "--gen", "cycle:6")
+    assert code == 0, err
+    summaries = json.loads(out)["spectra"]
+    adjacency_grid = [a for a, _ in summaries["adjacency"]["tail_mass_grid"]]
+    markov_grid = [a for a, _ in summaries["markov"]["tail_mass_grid"]]
+    assert adjacency_grid == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+    assert markov_grid == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    for summary in summaries.values():
+        assert summary["max_residual"] <= 1e-8 * max(1, 2)
+
+
 def test_verify_all_complete4(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:4")
     assert code == 0

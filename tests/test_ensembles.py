@@ -635,6 +635,14 @@ def test_tv_distance():
         tv_distance(c10, ball_census(generate("grid", 10), 2))
 
 
+def test_tv_distance_refuses_an_empty_census():
+    empty = ball_census(build_graph([], 0), 1)
+    cycle = ball_census(generate("cycle", 5), 1)
+    for a, b in ((empty, cycle), (cycle, empty), (empty, empty)):
+        with pytest.raises(GraphInputError, match="empty census"):
+            tv_distance(a, b)
+
+
 def test_tv_disjoint_supports():
     a = ball_census(generate("cycle", 5), 1)
     b = ball_census(generate("complete", 4), 1)
