@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -503,3 +504,82 @@ def test_budget_violation_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cover", "--gen", "complete:6", "--radius", "8")
     assert code == 2
     assert "budget" in err
+
+
+def test_analyze_leafy_graph_reports_only_the_degree_bound(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--gen", "path:5")
+    assert code == 0, err
+    values = json.loads(out)["bounds"]
+    assert sorted(values) == ["alon_boppana_degree_bound", "note"]
+    assert values["alon_boppana_degree_bound"]["provenance"] == "exact"
+    assert values["note"] == "degree-moment bounds undefined: graph has a leaf"
+
+
+def test_census_requires_radius(capsys):
+    code, out, err = run_cli(capsys, "census", "--gen", "cycle:5")
+    assert (code, out, err) == (2, "", "error: census requires --radius\n")
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    # the README promises exit code 1 for an internal error
+    def broken(*args):
+        raise RuntimeError("census exploded")
+
+    monkeypatch.setattr(ensembles, "ball_census", broken)
+    code, out, err = run_cli(capsys, "census", "--gen", "cycle:5", "--radius", "1")
+    assert (code, out, err) == (1, "", "internal error: census exploded\n")
+
+
+def test_suite_preconditions_report_a_leaf_before_a_disconnection(capsys, tmp_path):
+    path = tmp_path / "leafy_two_components.edges"
+    path.write_text("n 5\n0 1\n2 3\n3 4\n")
+    code, _, err = run_cli(capsys, "verify", "--suite", "bounds", "--input", str(path))
+    assert code == 2
+    assert err == "error: suite 'bounds' requires a leafless graph (min degree >= 2)\n"
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--input", str(path))
+    assert code == 0, err
+    names = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert names == ["core_peel_idempotent", "adjacency_moment_walk_equivalence",
+                     "markov_moment_return_equivalence", "lifting_suite_skipped_disconnected",
+                     "nbw_suite_skipped_leaf_present", "bounds_suite_skipped_leaf_present"]
+    assert out.splitlines()[-1] == "6/6 checks passed"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "nbw"], "suite 'nbw' requires a leafless graph (min degree >= 2)"),
+    (["verify", "--suite", "bounds"], "suite 'bounds' requires a leafless graph (min degree >= 2)"),
+    (["verify", "--suite", "graph"], "degree_stats needs at least one vertex"),
+    (["verify", "--suite", "walks"], "degree_stats needs at least one vertex"),
+    (["verify", "--suite", "lifting"], "degree_stats needs at least one vertex"),
+    (["verify", "--suite", "all"], "degree_stats needs at least one vertex"),
+    (["analyze"], "degree_stats needs at least one vertex"),
+])
+def test_empty_graph_error_order(capsys, tmp_path, argv, message):
+    # a single suite's graph conditions are checked first, then the degree stats are read,
+    # before any suite runs
+    path = tmp_path / "empty.edges"
+    path.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--gen", "grid:8", "--radius", "2"],
+     "d3ab75dffc1ddd0408d99da72be40487221172debd64c73628c3167a7dd742da"),
+    (["--gen", "complete:9", "--radius", "1"],
+     "fe4a076e782e6c9a312a71ecc95819ba5913024883c5aa5af9f45e92c00ea5e9"),
+    (["--gen", "glued_clique_path:5:6", "--radius", "3"],
+     "d0fb5f2b003e5d06088c2818579a5a5b611da7f2e1aed66bea2d0679aced6c84"),
+    (["--gen", "grid:12", "--radius", "4"],
+     "03a84c7d9e448db9b13fdae282f749e7a86b1705db594de7fcb9b4bb7c38fbd8"),
+    (["--gen", "cycle:7", "--radius", "0"],
+     "0c386bcf5116fbc8b75ded7d28c82c93011059908307defc4705fe6213de5a8d"),
+])
+def test_census_report_bytes(capsys, argv, digest):
+    # Whole census reports, canonical codes included: tree and cyclic exact codes, and the
+    # h... hash fallback of 41-vertex cyclic grid balls (grid:12, exact false). The codes are
+    # pure Python, so the bytes do not depend on BLAS or the platform. A deliberate change of
+    # the code format updates these hashes and is named in CHANGES.md.
+    code, out, err = run_cli(capsys, "census", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

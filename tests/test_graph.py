@@ -77,6 +77,13 @@ def test_generate_random_regular():
     assert g == generate("random_regular", 8, 3, seed=7)
 
 
+def test_random_regular_edges_at_a_fixed_seed():
+    # pins the sampler: a rewrite that draws or accepts stub pairings differently changes it
+    assert generate("random_regular", 8, 3, seed=7).edges() == [
+        (0, 3), (0, 4), (0, 7), (1, 2), (1, 5), (1, 6), (2, 4), (2, 7), (3, 5), (3, 6), (4, 5),
+        (6, 7)]
+
+
 def test_generate_infeasible():
     with pytest.raises(GraphInputError):
         generate("random_regular", 5, 3, seed=0)  # n*d odd
