@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from . import bounds as bounds_mod
 from . import cover as cover_mod
@@ -54,9 +55,6 @@ class RunConfig:
     k: int | None = None
     r: int | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _parse_gen_spec(spec: str, seed: int) -> Graph:
     parts = spec.split(":")
@@ -94,55 +92,85 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _pretty_lines(payload, indent: int = 0) -> list[str]:
+def _pretty_lines(payload: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines = []
     if isinstance(payload, dict):
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_pretty_lines(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                lines.append(pad + "-")
-                lines.extend(_pretty_lines(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+        items = [(f"{key}:", payload[key]) for key in sorted(payload)]
     else:
-        lines.append(f"{pad}{payload}")
+        items = [("-", value) for value in payload]
+    lines = []
+    for label, value in items:
+        if isinstance(value, (dict, list)):
+            lines.append(pad + label)
+            lines.extend(_pretty_lines(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {value}")
     return lines
 
 
-def _write_report(payload: dict, cfg: RunConfig, csv_text: str | None = None) -> None:
+def _write_report(cfg: RunConfig, body: dict, csv_text: str | None = None) -> int:
+    """Stamp ``body`` with the subcommand's schema and the resolved config, write it, return 0."""
+    payload = {"schema": f"{SCHEMA_PREFIX}.{cfg.subcommand}.v1", "config": asdict(cfg), **body}
     if cfg.format == "csv":  # only subcommands with a CSV rendering register --format
         _emit(csv_text, cfg.out)
-        return
-    if cfg.pretty:
+    elif cfg.pretty:
         text = "\n".join(_pretty_lines(payload)) + "\n"
         if cfg.out == "-":
             _emit(text, "-")
         else:
             _emit(_dump_json(payload), cfg.out)
             sys.stdout.write(text)
-        return
-    _emit(_dump_json(payload), cfg.out)
+    else:
+        _emit(_dump_json(payload), cfg.out)
+    return 0
 
 
 # ----------------------------------------------------------------------------
-# Check suites (shared by verify and analyze)
+# Check suites (shared by verify, analyze and report)
 # ----------------------------------------------------------------------------
+
+
+class _Inputs:
+    """What one command reads of graph ``g``, each field computed on first read: a command
+    solves each spectrum at most once and makes at most one ``cover_walk_rows`` call, of
+    order ``cover_order``. The suites read its first min(kmax, 4) + 1 columns; coefficient j
+    of every branch series depends only on those below j, so slices are exact."""
+
+    def __init__(self, g: Graph, kmax: int, cover_order: int):
+        self.g, self.kmax, self.cover_order = g, kmax, cover_order
+
+    @cached_property
+    def stats(self) -> DegreeStats:
+        return degree_stats(self.g)
+
+    @cached_property
+    def adjacency(self) -> spectra.Spectrum:
+        return spectra.adjacency_spectrum(self.g)
+
+    @cached_property
+    def markov(self) -> spectra.Spectrum | None:
+        return spectra.markov_spectrum(self.g) if self.g.min_degree >= 1 else None
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.g.is_connected()
+
+    @cached_property
+    def cover_rows(self) -> list[list[int]]:
+        return cover_mod.cover_walk_rows(self.g, self.cover_order)
+
+    @cached_property
+    def suite_rows(self) -> list[list[int]]:
+        return [row[:min(self.kmax, 4) + 1] for row in self.cover_rows]
 
 
 def _check(name: str, ok: bool, deviation: float | None = None, note: str = "") -> dict:
     return {"name": name, "pass": bool(ok), "deviation": deviation, "note": note}
 
 
-def _suite_graph(g: Graph, stats: DegreeStats) -> list[dict]:
-    peeled = core_peel(g)
+def _suite_graph(inputs: _Inputs) -> list[dict]:
+    stats = inputs.stats
+    peeled = core_peel(inputs.g)
     again = core_peel(peeled.core)
     rows = [_check("core_peel_idempotent", again.core == peeled.core, 0.0)]
     if stats.hoory_lambda is not None and stats.dlog_mean is not None:
@@ -151,36 +179,36 @@ def _suite_graph(g: Graph, stats: DegreeStats) -> list[dict]:
     return rows
 
 
-def _suite_walks(g: Graph, kmax: int, adjacency: spectra.Spectrum,
-                 markov: spectra.Spectrum | None) -> list[dict]:
-    # entry k of a walk table does not depend on the length the iteration runs to
-    n = g.vertex_count
-    worst = 0.0
-    columns = zip(*(walks.closed_walk_counts(g, x, kmax) for x in range(n)))
-    for k, column in enumerate(columns):
-        mom = spectra.moment(adjacency, k)
-        worst = max(worst, abs(mom - sum(column) / n) / max(1.0, abs(mom)))
-    rows = [_check("adjacency_moment_walk_equivalence", worst <= 1e-9, worst)]
-    if markov is not None:
-        worst_m = 0.0
-        columns = zip(*(walks.srw_return_probs(g, x, kmax) for x in range(n)))
-        for k, column in enumerate(columns):
-            mom = spectra.moment(markov, k)
-            worst_m = max(worst_m, abs(mom - sum(column) / n))
-        rows.append(_check("markov_moment_return_equivalence", worst_m <= 1e-9, worst_m))
+def _suite_walks(inputs: _Inputs) -> list[dict]:
+    # entry k of a walk table does not depend on the length the iteration runs to; Markov
+    # moments lie in [-1, 1], so their relative deviation is the absolute one
+    g, kmax = inputs.g, min(inputs.kmax, 6)
+    rows = []
+    for name, spectrum, series in (
+            ("adjacency_moment_walk_equivalence", inputs.adjacency, walks.closed_walk_counts),
+            ("markov_moment_return_equivalence", inputs.markov, walks.srw_return_probs)):
+        if spectrum is None:
+            continue
+        worst = 0.0
+        for k, column in enumerate(zip(*(series(g, x, kmax) for x in range(g.vertex_count)))):
+            mom = spectra.moment(spectrum, k)
+            worst = max(worst, abs(mom - sum(column) / g.vertex_count) / max(1.0, abs(mom)))
+        rows.append(_check(name, worst <= 1e-9, worst))
     return rows
 
 
-def _suite_lifting(g: Graph, cover_rows: list[list[int]]) -> list[dict]:
+def _suite_lifting(inputs: _Inputs) -> list[dict]:
+    g, cover_rows = inputs.g, inputs.suite_rows
     ok = all(row.ok for base in range(min(g.vertex_count, 16))
              for row in cover_mod.verify_lifting(g, cover_rows, base))
     return [_check(f"lifting_w2k_cover_le_base_k{len(cover_rows[0]) - 1}", ok,
                    0.0 if ok else 1.0)]
 
 
-def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
+def _suite_nbw(inputs: _Inputs) -> list[dict]:
+    g = inputs.g
     report = nbw.stationarity_check(g)
-    dev = abs(nbw.nbw_entropy_rate(g) - nbw.nbw_entropy(stats))
+    dev = abs(nbw.nbw_entropy_rate(g) - nbw.nbw_entropy(inputs.stats))
     return [
         _check("nbw_stationarity", report.stationarity_deviation <= 1e-12,
                report.stationarity_deviation),
@@ -190,15 +218,15 @@ def _suite_nbw(g: Graph, stats: DegreeStats) -> list[dict]:
     ]
 
 
-def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
-                  adjacency: spectra.Spectrum) -> list[dict]:
+def _suite_bounds(inputs: _Inputs) -> list[dict]:
+    stats, adjacency, cover_rows = inputs.stats, inputs.adjacency, inputs.suite_rows
     rows = []
     b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
     rows.append(_check("jensen_tree_radius_b1_ge_b2", b1 >= b2 - 1e-12, max(0.0, b2 - b1)))
     dev = abs(bounds_mod.hoory_bound(stats) - b1)
     rows.append(_check("hoory_equals_entropy_bound", dev <= 1e-12, dev))
     rho = spectra.sigma(adjacency, 1)
-    moments = [sum(column) / g.vertex_count for column in list(zip(*cover_rows))[1:]]
+    moments = [sum(column) / inputs.g.vertex_count for column in list(zip(*cover_rows))[1:]]
     rho_est = cover_mod.rho_cover_estimate(cover_rows)[-1]
     ok = True
     for k, moment in enumerate(moments, 1):
@@ -215,51 +243,43 @@ def _suite_bounds(g: Graph, stats: DegreeStats, cover_rows: list[list[int]],
     return rows
 
 
-SUITES = ("graph", "walks", "lifting", "nbw", "bounds", "all")
+# name -> (needs a leafless graph, needs a connected graph, suite), in report order
+_SUITE_TABLE = {
+    "graph": (False, False, _suite_graph),
+    "walks": (False, False, _suite_walks),
+    "lifting": (False, True, _suite_lifting),
+    "nbw": (True, False, _suite_nbw),
+    "bounds": (True, True, _suite_bounds),
+}
+SUITES = (*_SUITE_TABLE, "all")
 
 
-def _run_suites(g: Graph, suite: str, kmax: int, adjacency: spectra.Spectrum | None = None,
-                markov: spectra.Spectrum | None = None,
-                cover_rows: list[list[int]] | None = None,
-                stats: DegreeStats | None = None) -> list[dict]:
-    """Rows of the selected suites. A spectrum, or the ``cover_walk_rows`` of order
-    min(kmax, 4), that is not passed in is computed once, if a suite needs it; the
-    degree stats, if not passed in, are computed once here."""
-    leafless = g.vertex_count > 0 and g.min_degree >= 2
-    connected = g.is_connected()
-    if suite in ("nbw", "bounds") and not leafless:
-        raise GraphInputError(f"suite {suite!r} requires a leafless graph (min degree >= 2)")
-    if suite in ("lifting", "bounds") and not connected:
-        raise GraphInputError(f"suite {suite!r} requires a connected graph")
-    if stats is None:
-        stats = degree_stats(g)
+def _unmet(inputs: _Inputs, name: str) -> tuple[str, str, str] | None:
+    """(skip-row tag, requirement, reason) of the first graph condition of suite ``name``
+    that the graph fails, a leaf before a disconnection; None if it meets them all."""
+    needs_leafless, needs_connected, _ = _SUITE_TABLE[name]
+    if needs_leafless and inputs.g.min_degree < 2:
+        return "leaf_present", "a leafless graph (min degree >= 2)", "graph has a leaf"
+    if needs_connected and not inputs.connected:
+        return "disconnected", "a connected graph", "graph is disconnected"
+    return None
+
+
+def _run_suites(inputs: _Inputs, suite: str) -> list[dict]:
+    """Rows of the selected suites. A suite whose graph condition fails raises when chosen
+    alone and writes a skip row under ``all``."""
+    unmet = None if suite == "all" else _unmet(inputs, suite)
+    if unmet:
+        raise GraphInputError(f"suite {suite!r} requires {unmet[1]}")
+    inputs.stats  # noqa: B018 - the degree stats reject an empty graph before any suite runs
     rows: list[dict] = []
-    wanted = SUITES[:-1] if suite == "all" else (suite,)
-    for name in wanted:
-        if name in ("nbw", "bounds") and not leafless:
-            rows.append(_check(f"{name}_suite_skipped_leaf_present", True, None,
-                               note="skipped: graph has a leaf"))
-            continue
-        if name in ("lifting", "bounds") and not connected:
-            rows.append(_check(f"{name}_suite_skipped_disconnected", True, None,
-                               note="skipped: graph is disconnected"))
-            continue
-        if name in ("walks", "bounds") and adjacency is None:
-            adjacency = spectra.adjacency_spectrum(g)
-        if name == "walks" and markov is None and g.min_degree >= 1:
-            markov = spectra.markov_spectrum(g)
-        if name in ("lifting", "bounds") and cover_rows is None:
-            cover_rows = cover_mod.cover_walk_rows(g, min(kmax, 4))
-        if name == "graph":
-            rows.extend(_suite_graph(g, stats))
-        elif name == "walks":
-            rows.extend(_suite_walks(g, min(kmax, 6), adjacency, markov))
-        elif name == "lifting":
-            rows.extend(_suite_lifting(g, cover_rows))
-        elif name == "nbw":
-            rows.extend(_suite_nbw(g, stats))
-        elif name == "bounds":
-            rows.extend(_suite_bounds(g, stats, cover_rows, adjacency))
+    for name in _SUITE_TABLE if suite == "all" else (suite,):
+        unmet = _unmet(inputs, name)
+        if unmet:
+            rows.append(_check(f"{name}_suite_skipped_{unmet[0]}", True, None,
+                               note=f"skipped: {unmet[2]}"))
+        else:
+            rows.extend(_SUITE_TABLE[name][2](inputs))
     return rows
 
 
@@ -280,50 +300,38 @@ def _spectrum_summary(spectrum: spectra.Spectrum, top: float) -> dict:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    g = _resolve_graph(cfg)
-    stats = degree_stats(g)
-    adjacency = spectra.adjacency_spectrum(g)
-    markov = spectra.markov_spectrum(g) if g.min_degree >= 1 else None
-    bound_values: dict[str, object] = {
-        "alon_boppana_degree_bound": {
-            "value": bounds_mod.alon_boppana_degree_bound(stats),
-            "provenance": "exact",
-        }
-    }
+    kmax = cfg.kmax if cfg.kmax is not None else 4
+    inputs = _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4))
+    g, stats, adjacency, markov = inputs.g, inputs.stats, inputs.adjacency, inputs.markov
+    values = {"alon_boppana_degree_bound": bounds_mod.alon_boppana_degree_bound(stats)}
     if stats.min_degree >= 2:
         b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
         s1, s2 = bounds_mod.tree_srw_radius_bounds(stats)
         r = cfg.r if cfg.r is not None else 3
-        g1, g2 = bounds_mod.sphere_growth_bounds(stats, r)
-        bound_values.update(
-            {
-                "tree_radius_entropy_bound": {"value": b1, "provenance": "exact"},
-                "tree_radius_mean_degree_bound": {"value": b2, "provenance": "exact"},
-                "hoory_bound": {"value": bounds_mod.hoory_bound(stats), "provenance": "exact"},
-                "srw_radius_entropy_bound": {"value": s1, "provenance": "exact"},
-                "srw_radius_moment_bound": {"value": s2, "provenance": "exact"},
-                "srw_tail_threshold": {"value": s2, "provenance": "exact"},
-                f"sphere_growth_bounds_r{r}": {"value": [g1, g2], "provenance": "exact"},
-            }
-        )
-    else:
-        bound_values["note"] = "degree-moment bounds undefined: graph has a leaf"
-    checks = _run_suites(g, "all", cfg.kmax if cfg.kmax is not None else 4,
-                         adjacency, markov, stats=stats)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.analyze.v1",
-        "config": cfg.to_dict(),
-        "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": g.is_connected()},
+        values.update({
+            "tree_radius_entropy_bound": b1,
+            "tree_radius_mean_degree_bound": b2,
+            "hoory_bound": bounds_mod.hoory_bound(stats),
+            "srw_radius_entropy_bound": s1,
+            "srw_radius_moment_bound": s2,
+            "srw_tail_threshold": s2,
+            f"sphere_growth_bounds_r{r}": list(bounds_mod.sphere_growth_bounds(stats, r)),
+        })
+    bound_rows: dict[str, object] = {
+        name: {"value": value, "provenance": "exact"} for name, value in values.items()}
+    if stats.min_degree < 2:
+        bound_rows["note"] = "degree-moment bounds undefined: graph has a leaf"
+    checks = _run_suites(inputs, "all")
+    return _write_report(cfg, {
+        "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": inputs.connected},
         "degree_stats": asdict(stats),
         "spectra": {
             "adjacency": _spectrum_summary(adjacency, spectra.sigma(adjacency, 1)),
             "markov": None if markov is None else _spectrum_summary(markov, 1.0),
         },
-        "bounds": bound_values,
+        "bounds": bound_rows,
         "checks": checks,
-    }
-    _write_report(payload, cfg, csv_text=spectra.eigenvalues_csv(adjacency))
-    return 0
+    }, csv_text=spectra.eigenvalues_csv(adjacency))
 
 
 def _cmd_cover(cfg: RunConfig) -> int:
@@ -335,22 +343,16 @@ def _cmd_cover(cfg: RunConfig) -> int:
     rows = cover_mod.cover_walk_rows(g, kmax)
     counts = [0] * (2 * kmax + 1)  # closed walks in a tree have even length
     counts[::2] = rows[0]
-    estimate = cover_mod.rho_cover_estimate(rows)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.cover.v1",
-        "config": cfg.to_dict(),
+    return _write_report(cfg, {
         "graph": {"n": g.vertex_count, "m": g.edge_count},
         "walk_table": {"base": 0, "counts": counts, "provenance": "exact"},
         "rho_estimate": {
-            "values": estimate,
+            "values": cover_mod.rho_cover_estimate(rows),
             "provenance": "truncated-k",
             "note": "lower estimate of the cover spectral radius; no extrapolation",
         },
         "ball": {"vertices": ball_size, "radius": cfg.radius},
-    }
-    csv_text = "".join(f"{k},{c}\n" for k, c in enumerate(counts))
-    _write_report(payload, cfg, csv_text=csv_text)
-    return 0
+    }, csv_text="".join(f"{k},{c}\n" for k, c in enumerate(counts)))
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
@@ -368,9 +370,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
             exact = float(ensembles.regular_tree_walks(pi.support[0], k)[k])
     else:
         est, exact = ensembles.estimate_sphere(pi, r, cfg.samples, cfg.seed)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.sample.v1",
-        "config": cfg.to_dict(),
+    body = {
         "mean": est.mean,
         "stderr": est.stderr,
         "samples": est.samples,
@@ -380,7 +380,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
     }
     if stat == "sphere" and pi.min_degree >= 2:
         b1, _ = bounds_mod.sphere_growth_bounds(pi, r)
-        payload["growth_bound"] = {
+        body["growth_bound"] = {
             "name": "sphere_growth_lower_bound",
             "bound": b1,
             "observed": est.mean,
@@ -392,8 +392,7 @@ def _cmd_sample(cfg: RunConfig) -> int:
             "stderr": est.stderr,
             "note": "",
         }
-    _write_report(payload, cfg)
-    return 0
+    return _write_report(cfg, body)
 
 
 def _cmd_census(cfg: RunConfig) -> int:
@@ -402,55 +401,41 @@ def _cmd_census(cfg: RunConfig) -> int:
         raise GraphInputError("census requires --radius")
     census = ensembles.ball_census(g, cfg.radius)
     classes = sorted(census.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.census.v1",
-        "config": cfg.to_dict(),
+    buffer = io.StringIO()  # the csv module quotes codes that contain commas
+    csv.writer(buffer, lineterminator="\n").writerows(classes)
+    return _write_report(cfg, {
         "radius": census.radius,
         "total": census.total,
         "exact": census.exact,
         "classes": [{"code": code, "count": count} for code, count in classes],
-    }
-    buffer = io.StringIO()  # the csv module quotes codes that contain commas
-    csv.writer(buffer, lineterminator="\n").writerows(classes)
-    _write_report(payload, cfg, csv_text=buffer.getvalue())
-    return 0
+    }, csv_text=buffer.getvalue())
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    g = _resolve_graph(cfg)
-    rows = _run_suites(g, cfg.suite, cfg.kmax if cfg.kmax is not None else 4)
-    failed = 0
+    kmax = cfg.kmax if cfg.kmax is not None else 4
+    rows = _run_suites(_Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)), cfg.suite)
     for row in rows:
-        status = "PASS" if row["pass"] else "FAIL"
-        failed += 0 if row["pass"] else 1
         dev = "" if row["deviation"] is None else f" deviation={row['deviation']:.3e}"
         note = f" ({row['note']})" if row["note"] else ""
-        sys.stdout.write(f"{status} {row['name']}{dev}{note}\n")
-    sys.stdout.write(f"{len(rows) - failed}/{len(rows)} checks passed\n")
-    return 0 if failed == 0 else 1
+        sys.stdout.write(f"{'PASS' if row['pass'] else 'FAIL'} {row['name']}{dev}{note}\n")
+    passed = sum(row["pass"] for row in rows)
+    sys.stdout.write(f"{passed}/{len(rows)} checks passed\n")
+    return 0 if passed == len(rows) else 1
 
 
 def _cmd_report(cfg: RunConfig) -> int:
-    g = _resolve_graph(cfg)
     radius = cfg.radius if cfg.radius is not None else 4
     kmax = cfg.kmax if cfg.kmax is not None else 4
-    # coefficient j of every branch series depends only on those below j, so slices are exact
-    rows = cover_mod.cover_walk_rows(g, max(radius, min(kmax, 4)))
-    estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in rows])
-    stats = degree_stats(g)
-    checks = _run_suites(g, "all", kmax, cover_rows=[row[:min(kmax, 4) + 1] for row in rows],
-                         stats=stats)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}.report.v1",
-        "config": cfg.to_dict(),
-        "graph": {"n": g.vertex_count, "m": g.edge_count},
-        "degree_stats": asdict(stats),
+    inputs = _Inputs(_resolve_graph(cfg), kmax, max(radius, min(kmax, 4)))
+    estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in inputs.cover_rows])
+    checks = _run_suites(inputs, "all")
+    return _write_report(cfg, {
+        "graph": {"n": inputs.g.vertex_count, "m": inputs.g.edge_count},
+        "degree_stats": asdict(inputs.stats),
         "rho_cover_estimate": {"values": estimate, "provenance": "truncated-k"},
         "checks": checks,
         "all_checks_pass": all(row["pass"] for row in checks),
-    }
-    _write_report(payload, cfg)
-    return 0
+    })
 
 
 # ----------------------------------------------------------------------------

@@ -269,22 +269,10 @@ def _random_regular(n: int, d: int, seed: int | None) -> Graph:
     for _ in range(2000):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        seen: set[tuple[int, int]] = set()
-        edges = []
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-            edges.append(key)
-        if ok:
-            return build_graph(edges, n)
+        pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        if (pairs[:, 0] != pairs[:, 1]).all() and np.unique(keys).size == keys.size:
+            return build_graph(pairs.tolist(), n)
     raise GraphInputError(f"random_regular failed to sample a simple graph (n={n}, d={d})")
 
 

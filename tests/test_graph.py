@@ -84,6 +84,35 @@ def test_random_regular_edges_at_a_fixed_seed():
         (6, 7)]
 
 
+def _pairwise_random_regular(n, d, seed):
+    """Reference for the sampler's vectorized check: the same draws, each stub pair checked
+    in turn for a loop or a repeated edge. Sorted edges, or None after 2,000 refusals."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2000):
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        seen = set()
+        for u, v in stubs.reshape(-1, 2).tolist():
+            if u == v or (min(u, v), max(u, v)) in seen:
+                break
+            seen.add((min(u, v), max(u, v)))
+        else:
+            return sorted(seen)
+    return None
+
+
+@pytest.mark.parametrize("n, d, seeds", [(6, 5, (0, 2)), (8, 3, (0, 1, 7)), (10, 4, (1, 2)),
+                                         (13, 4, (0, 7)), (20, 5, (1, 2)), (31, 2, (0, 1))])
+def test_random_regular_matches_the_pairwise_check(n, d, seeds):
+    for seed in seeds:
+        try:
+            edges = generate("random_regular", n, d, seed=seed).edges()
+        except GraphInputError as exc:
+            assert "failed to sample a simple graph" in str(exc)
+            edges = None
+        assert edges == _pairwise_random_regular(n, d, seed), seed
+
+
 def test_generate_infeasible():
     with pytest.raises(GraphInputError):
         generate("random_regular", 5, 3, seed=0)  # n*d odd
