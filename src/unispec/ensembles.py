@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import BudgetError, DegreeDistribution, Graph, GraphInputError, build_graph
+from .graph import BudgetError, DegreeDistribution, Graph, GraphInputError, _refine, build_graph
 from .walks import _ball_adjacency, branch_series
 
 __all__ = [
@@ -331,24 +331,6 @@ class Census:
 
 class _CanonBudget(Exception):
     pass
-
-
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    """The stable refinement of ``colors``, with ids in sorted signature order, so refinement is
-    label-invariant.
-
-    A signature starts with the old colour, so each round refines the last one, and a round with
-    as many cells as its input split none. Its ids, sorted by old colour first, are then the dense
-    ranks of the old ids: the ids a further round would return unchanged, so it ends there.
-    """
-    cells = len(set(colors))
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
-        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [lookup[s] for s in sigs]
-        if len(lookup) == cells:
-            return colors
-        cells = len(lookup)
 
 
 def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple[tuple, list[int]]:

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -135,6 +135,25 @@ def _bfs(g: Graph, source: int, limit: int | None) -> tuple[list[int], list[int]
                 dist[v] = dist[u] + 1
                 order.append(v)
     return order, dist
+
+
+def _refine(adj: Sequence[Sequence[int]], colors: list[int], rounds: int | None = None) -> list:
+    """The stable refinement of ``colors`` over the out-neighbour lists ``adj``, or its first
+    ``rounds`` rounds, with ids in sorted signature order, so refinement is label-invariant.
+
+    A signature starts with the old colour, so each round refines the last one, and a round with
+    as many cells as its input split none. Its ids, sorted by old colour first, are then the dense
+    ranks of the old ids: the ids a further round would return unchanged, so it ends there.
+    """
+    cells = len(set(colors))
+    for _ in count() if rounds is None else range(rounds):
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [lookup[s] for s in sigs]
+        if len(lookup) == cells:
+            break
+        cells = len(lookup)
+    return colors
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]], n: int) -> Graph:

@@ -444,6 +444,25 @@ def test_cover_rows_once_per_command(capsys, monkeypatch):
         assert orders == expected, argv
 
 
+def test_cover_series_runs_on_the_quotient(capsys, monkeypatch):
+    # a structural speed guard: the series must see the cone-type classes, not all 2m + n
+    # branches, so a silent return to the full series fails here without a timing test
+    branches = []
+    original = cover.branch_series
+
+    def counted(succ, order, weight=None):
+        branches.append(len(succ))
+        return original(succ, order, weight)
+
+    monkeypatch.setattr(cover, "branch_series", counted)
+    for gen, check in (("random_regular:200:3", lambda b: b == 2),  # one edge class, one root
+                       ("grid:6", lambda b: b < 2 * 60 + 36)):
+        branches.clear()
+        code, _, err = run_cli(capsys, "cover", "--gen", gen, "--radius", "10")
+        assert code == 0, err
+        assert len(branches) == 1 and check(branches[0]), (gen, branches)
+
+
 def test_gen_spec_errors(capsys):
     code, _, err = run_cli(capsys, "analyze", "--gen", "cycle:abc")
     assert code == 2
@@ -581,5 +600,27 @@ def test_census_report_bytes(capsys, argv, digest):
     # pure Python, so the bytes do not depend on BLAS or the platform. A deliberate change of
     # the code format updates these hashes and is named in CHANGES.md.
     code, out, err = run_cli(capsys, "census", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--gen", "random_regular:200:3", "--radius", "10"],
+     "ef65eda1116a965559c6336f4effe2ec421b3b55cd923a407b91ea12bf3f0c2b"),
+    (["--gen", "grid:6", "--radius", "8"],
+     "1b2d00ed26214d9ecbc3259b4b17a04fa7825d805048e2e9b2d1a37cf332d6fe"),
+    (["--gen", "glued_clique_path:8:10", "--radius", "6"],
+     "fd12fd41bfa77995dbc06d3658a74c97644131bc30f735833145f9f78a1c13b9"),
+    (["--gen", "path:1", "--radius", "2"],
+     "8603ad2fa8051f7660cbef7d389eec07f053e2314e243a70a05739d806318ae1"),
+    (["--gen", "complete:4", "--radius", "6", "--format", "csv"],
+     "3526c46aa18502e9dd19c772476debb72a7929c0bf9d16b0430d6d65aaa6fe4e"),
+])
+def test_cover_report_bytes(capsys, argv, digest):
+    # Whole cover reports, recorded before the walk rows moved to the cone-type quotient:
+    # the benchmark's shape (one edge class), a grid and a glued clique path (many classes),
+    # a graph with no edges, and the CSV table. Rows are exact integers and the estimates are
+    # math.exp/math.log of them, so the bytes do not depend on BLAS or the platform.
+    code, out, err = run_cli(capsys, "cover", *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

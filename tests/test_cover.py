@@ -8,6 +8,7 @@ from unispec import (
     BudgetError,
     GraphInputError,
     adjacency_spectrum,
+    branch_series,
     build_graph,
     canonical_rooted_code,
     closed_walk_counts,
@@ -171,6 +172,30 @@ def test_cover_walk_rows_match_materialized_cover(name):
             ball = universal_cover_ball(g, x, k)
             assert rows[x] == cover_walk_counts(ball, k)[::2]
             assert cover_ball_size(g, x, k) == ball.tree.vertex_count
+
+
+def _full_series_rows(g, k):
+    """The rows of the series over all 2m + n branches, with no quotient."""
+    succ = cover._cover_branches(g, k)
+    return branch_series(succ, [k] * len(succ))[2 * g.edge_count:]
+
+
+QUOTIENT_CASES = {
+    **{name: (g, range(9)) for name, g in ROW_GRAPHS.items()},
+    # kmax - 1 refinement rounds give wrong rows here at k = 1..5 and at k = 1, 2
+    "glued_clique_path:8:10": (generate("glued_clique_path", 8, 10), range(9)),
+    "grid:6": (generate("grid", 6), range(9)),
+    "random_regular:200:3": (generate("random_regular", 200, 3, seed=1), [40]),  # one edge class
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_rows_equal_the_full_series(name):
+    g, ks = QUOTIENT_CASES[name]
+    for k in ks:
+        rows = cover_walk_rows(g, k)
+        assert rows == _full_series_rows(g, k)
+        assert len({id(row) for row in rows}) == g.vertex_count  # every root owns its row
 
 
 def test_cover_walk_rows_budget(monkeypatch):
