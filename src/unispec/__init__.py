@@ -29,18 +29,13 @@ from .spectra import (
 )
 from .walks import (
     branch_series,
-    catalan,
     closed_walk_counts,
-    enumerate_dyck,
     srw_return_probs,
-    walk_identity_check,
-    weighted_closed_walks,
 )
 from .cover import (
     CoverBall,
     LiftCheck,
     cover_ball_size,
-    cover_walk_counts,
     cover_walk_rows,
     rho_cover_estimate,
     universal_cover_ball,

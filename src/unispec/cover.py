@@ -14,7 +14,6 @@ __all__ = [
     "CoverBall",
     "LiftCheck",
     "cover_ball_size",
-    "cover_walk_counts",
     "cover_walk_rows",
     "rho_cover_estimate",
     "universal_cover_ball",
@@ -45,8 +44,9 @@ def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
     """Materialize the universal cover out to ``radius`` around a lift of ``base``.
 
     Refused when its exact vertex count, ``cover_ball_size``, passes ``COVER_NODE_BUDGET``.
-    The CLI builds none. With ``cover_walk_counts`` it is the test oracle of
-    ``test_cover_walk_rows_match_*`` (rows and ``cover_ball_size``) and acceptance 02, 03, 07.
+    The CLI builds none. With ``closed_walk_counts(ball.tree, ball.root, 2 * k)`` it is the test
+    oracle of ``test_cover_walk_rows_match_*`` (rows and ``cover_ball_size``) and acceptance 02,
+    03, 07: walks of length 2k stay in the radius-k ball, so their counts are the cover's.
     """
     size = cover_ball_size(g, base, radius)
     if size > COVER_NODE_BUDGET:
@@ -81,21 +81,6 @@ def universal_cover_ball(g: Graph, base: int, radius: int) -> CoverBall:
                 f"(degree {tree.degree(node)} vs base {g.degree(base_of[node])})"
             )
     return CoverBall(tree=tree, root=0, cover_map=tuple(base_of), radius=radius)
-
-
-def cover_walk_counts(cb: CoverBall, kmax: int) -> list[int]:
-    """Exact closed-walk counts of the cover from the lifted root, k <= 2*kmax.
-
-    Walks of length 2k stay in the radius-k ball, so counts up to length
-    2*radius are those of the full (usually infinite) cover. A test oracle
-    (see ``universal_cover_ball``); the CLI reads ``cover_walk_rows``.
-    """
-    if kmax > cb.radius:
-        raise GraphInputError(
-            f"kmax={kmax} exceeds cover radius {cb.radius}; walks of length 2k "
-            f"need radius k"
-        )
-    return closed_walk_counts(cb.tree, cb.root, 2 * kmax)
 
 
 def _cover_branches(g: Graph, order: int) -> list[Sequence[int]]:
@@ -151,6 +136,15 @@ def cover_ball_size(g: Graph, base: int, radius: int) -> int:
     return sizes[2 * g.edge_count + base]
 
 
+def _rows_kmax(rows: list[list[int]]) -> int:
+    """The kmax of a table of cover rows, refused unless its rows are nonempty and of one length."""
+    lengths = {len(row) for row in rows}
+    if len(lengths) != 1 or 0 in lengths:
+        raise GraphInputError(
+            f"cover rows must be nonempty and of one length, got lengths {sorted(lengths)}")
+    return lengths.pop() - 1
+
+
 class LiftCheck(NamedTuple):
     k: int
     cover_count: int
@@ -165,7 +159,9 @@ def verify_lifting(g: Graph, rows: list[list[int]], base: int) -> list[LiftCheck
     through the cover map, so every cover count is at most the base count; equality
     holds at every k when g is a tree.
     """
-    kmax = len(rows[0]) - 1
+    kmax = _rows_kmax(rows)
+    if len(rows) != g.vertex_count:
+        raise GraphInputError(f"{len(rows)} cover rows for {g.vertex_count} vertices")
     # closed_walk_counts refuses a base outside the graph before rows[base] reads from the end
     base_counts = closed_walk_counts(g, base, 2 * kmax)[::2]
     cover_counts = rows[base]
@@ -181,7 +177,7 @@ def rho_cover_estimate(rows: list[list[int]]) -> list[float]:
     vertex-averaged sense; no extrapolation is performed, the final entry is an
     estimate and not a per-root bound.
     """
-    kmax = len(rows[0]) - 1
+    kmax = _rows_kmax(rows)
     if kmax < 1:
         raise GraphInputError(f"kmax must be >= 1, got {kmax}")
     n = len(rows)

@@ -124,6 +124,8 @@ def _bfs(g: Graph, source: int, limit: int | None) -> tuple[list[int], list[int]
     one contiguous block, and the distances of ``bfs_distances``."""
     if not 0 <= source < g.vertex_count:
         raise GraphInputError(f"vertex {source} is not in 0..{g.vertex_count - 1}")
+    if limit is not None and limit < 0:
+        raise GraphInputError(f"radius must be nonnegative, got {limit}")
     dist = [-1] * g.vertex_count
     dist[source] = 0
     order = [source]

@@ -1,35 +1,20 @@
 """Exact closed-walk counts: the branch series on trees and covers, the ball-local walk loop.
 
 Two walk engines, one per geometry. ``branch_series`` gives every closed-walk count on a
-tree or universal cover, weighted ones included (``weighted_closed_walks``). ``_ball_walks``
-gives every closed-walk quantity on a finite graph (``closed_walk_counts``,
-``srw_return_probs``). Catalan numbers, Dyck-path enumeration and ``walk_identity_check``
-are the independent brute-force oracle of the weighted tree series.
+tree or universal cover; its excursion weights, which no command passes yet, are checked
+against a Dyck-path brute force in ``tests/walk_oracles.py``. ``_ball_walks`` gives every
+closed-walk quantity on a finite graph (``closed_walk_counts``, ``srw_return_probs``).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .graph import BudgetError, Graph, GraphInputError, _bfs, bfs_distances
+from .graph import Graph, GraphInputError, _bfs
 
-__all__ = [
-    "DYCK_ENUM_LIMIT",
-    "branch_series",
-    "catalan",
-    "closed_walk_counts",
-    "enumerate_dyck",
-    "srw_return_probs",
-    "walk_identity_check",
-    "weighted_closed_walks",
-]
-
-DYCK_ENUM_LIMIT = 14
-IDENTITY_K_LIMIT = 6
-IDENTITY_SIZE_LIMIT = 16
+__all__ = ["branch_series", "closed_walk_counts", "srw_return_probs"]
 
 
 def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], list, list]:
@@ -103,160 +88,3 @@ def srw_return_probs(g: Graph, root: int, kmax: int) -> list[float]:
     if g.min_degree < 1:
         raise GraphInputError("srw_return_probs undefined with an isolated vertex")
     return [1.0] + _ball_walks(g, root, kmax, lambda v: 1.0 / g.degree(v))[1:]
-
-
-# ----------------------------------------------------------------------------
-# Dyck paths
-# ----------------------------------------------------------------------------
-
-
-def catalan(k: int) -> int:
-    """Number of Dyck paths of length 2k: binom(2k, k) / (k + 1)."""
-    if k < 0:
-        raise ValueError(f"catalan index must be nonnegative, got {k}")
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def enumerate_dyck(k: int) -> list[tuple[int, ...]]:
-    """All Dyck paths of length 2k as +1/-1 step tuples (prefix sums >= 0, total 0), the
-    height profiles of closed tree walks. Capped (C_14 = 2674440 paths already).
-
-    Only ``walk_identity_check`` reads it, as the brute-force side of the oracle of
-    ``test_06_walk_identity_on_random_trees`` and the ``test_walk_identity_*`` tests.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if k > DYCK_ENUM_LIMIT:
-        raise BudgetError(f"Dyck enumeration k={k} exceeds limit {DYCK_ENUM_LIMIT}")
-    paths: list[tuple[int, ...]] = []
-    steps: list[int] = []
-
-    def extend(height: int, ups_left: int, downs_left: int):
-        if ups_left == 0 and downs_left == 0:
-            paths.append(tuple(steps))
-            return
-        if ups_left > 0:
-            steps.append(1)
-            extend(height + 1, ups_left - 1, downs_left)
-            steps.pop()
-        if downs_left > 0 and height > 0:
-            steps.append(-1)
-            extend(height - 1, ups_left, downs_left - 1)
-            steps.pop()
-
-    extend(0, k, k)
-    return paths
-
-
-# ----------------------------------------------------------------------------
-# Weighted walk counts on trees
-# ----------------------------------------------------------------------------
-
-
-def _kappa(weight: Mapping[tuple[int, int], object] | None):
-    """kappa(x, y) = weight[x, y] * weight[y, x] of a mapping from directed edges to positive step
-    weights, or 1 for every edge without one. Rational weights keep every product exact."""
-    if weight is None:
-        return lambda x, y: 1
-    for edge, value in weight.items():
-        if not value > 0:
-            raise GraphInputError(f"step weight {value} on {edge} is not positive")
-
-    def kappa(x: int, y: int):
-        try:
-            return weight[x, y] * weight[y, x]
-        except KeyError as missing:
-            raise GraphInputError(f"step weights have no entry for {missing.args[0]}") from None
-
-    return kappa
-
-
-def _check_tree(tree: Graph) -> None:
-    if not tree.is_tree():
-        raise GraphInputError("expected a tree (connected, m = n - 1)")
-
-
-def weighted_closed_walks(tree: Graph, root: int, kmax: int,
-                          weight: Mapping[tuple[int, int], object] | None = None) -> list:
-    """Weighted closed-walk counts: entry k is the sum over closed walks of
-    length 2k from ``root`` of the product of the 2k step weights ``weight[x, y]``.
-
-    On a tree each forward step of a closed walk pairs with its reversal, so that
-    product is the product of kappa(x, y) = weight[x, y] weight[y, x] over the forward steps:
-    the series of the root's branch, with excursion weights kappa and orders kmax - depth.
-    Without ``weight`` every step weighs 1 and the counts are exact ints, those of
-    closed_walk_counts at even lengths; weight[x, y] = 1.0 / deg x reproduces
-    srw_return_probs on the tree.
-    """
-    kappa = _kappa(weight)
-    _check_tree(tree)
-    if kmax < 0:
-        raise GraphInputError(f"kmax must be nonnegative, got {kmax}")
-    adj, ball, depth = _ball_adjacency(tree, root, kmax)
-    children = [[c for c in nbrs if depth[c] > depth[b]] for b, nbrs in enumerate(adj)]
-    weights = None if weight is None else [[kappa(ball[b], ball[c]) for c in kids]
-                                           for b, kids in enumerate(children)]
-    return branch_series(children, [kmax - h for h in depth], weights)[0]
-
-
-def walk_identity_check(tree: Graph, root: int, k: int,
-                        weight: Mapping[tuple[int, int], object] | None = None):
-    """Residual of the profile-conditioned walk decomposition.
-
-    The weighted closed-walk count from ``root`` must equal, summed over Dyck
-    profiles h and first neighbours y, kappa(root, y) times the weighted count
-    of walks with first step y and profile h, where walks are weighted by the
-    symmetrized kappa over forward times after the first. The right side is
-    brute-force enumeration over Dyck profiles, the left side the excursion
-    recursion of ``weighted_closed_walks``, so the two routes are independent.
-    Exact arithmetic whenever the weights are rational. Conditioning on the first
-    step needs k >= 1.
-
-    This is the oracle of the weighted tree series in acceptance
-    ``test_06_walk_identity_on_random_trees`` and in the ``test_walk_identity_*``
-    tests of ``tests/test_walks.py``; no command calls it.
-    """
-    kappa = _kappa(weight)
-    if k < 1:
-        raise GraphInputError(f"walk_identity_check needs k >= 1, got {k}")
-    if k > IDENTITY_K_LIMIT:
-        raise BudgetError(f"walk_identity_check limited to k <= {IDENTITY_K_LIMIT}, got {k}")
-    if tree.vertex_count > IDENTITY_SIZE_LIMIT:
-        raise BudgetError(
-            f"walk_identity_check limited to {IDENTITY_SIZE_LIMIT} vertices, "
-            f"got {tree.vertex_count}"
-        )
-    _check_tree(tree)
-    lhs = weighted_closed_walks(tree, root, k, weight)[k]
-
-    # parent[v] is the neighbour of v on the path back to root
-    dist = bfs_distances(tree, root)
-    parent = [-1] * tree.vertex_count
-    for v in range(tree.vertex_count):
-        for u in tree.adjacency[v]:
-            if dist[u] == dist[v] - 1:
-                parent[v] = u
-
-    def profile_sum(first: int, steps: tuple[int, ...]):
-        """Sum of prod kappa over forward times > 1, over walks with the given
-        first neighbour and height profile."""
-
-        def go(cur: int, idx: int, acc):
-            if idx == len(steps):
-                return acc
-            if steps[idx] == -1:
-                return go(parent[cur], idx + 1, acc)
-            total = 0 * acc
-            for z in tree.adjacency[cur]:
-                if z == parent[cur]:
-                    continue
-                total += go(z, idx + 1, acc * kappa(cur, z))
-            return total
-
-        return go(first, 1, 1)
-
-    rhs = 0
-    for h in enumerate_dyck(k):
-        for y in tree.adjacency[root]:
-            rhs += kappa(root, y) * profile_sum(y, h)
-    return abs(lhs - rhs)

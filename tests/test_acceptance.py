@@ -19,7 +19,6 @@ from unispec import (
     ball_census,
     closed_walk_counts,
     core_peel,
-    cover_walk_counts,
     ensembles,
     estimate_sphere,
     generate,
@@ -38,7 +37,6 @@ from unispec import (
     tree_srw_radius_bounds,
     tv_distance,
     universal_cover_ball,
-    walk_identity_check,
 )
 
 from fixture_graphs import (
@@ -51,6 +49,7 @@ from fixture_graphs import (
     random_tree,
     srw_weights,
 )
+from walk_oracles import walk_identity_check
 
 
 def test_01_regular_tree_radius():
@@ -67,7 +66,7 @@ def test_01_regular_tree_radius():
 def test_02_cycle_cover_central_binomial():
     start = time.perf_counter()
     ball = universal_cover_ball(generate("cycle", 9), 0, 500)
-    counts = cover_walk_counts(ball, 500)
+    counts = closed_walk_counts(ball.tree, ball.root, 1000)
     for k in range(11):
         assert counts[2 * k] == math.comb(2 * k, k)
     norm = math.exp(math.log(counts[1000]) / 1000)
@@ -81,7 +80,7 @@ def test_03_lifting_inequality(name):
     g = FIXTURES[name]
     for base in range(g.vertex_count):
         ball = universal_cover_ball(g, base, 8)
-        cover_counts = cover_walk_counts(ball, 8)
+        cover_counts = closed_walk_counts(ball.tree, ball.root, 16)
         base_counts = closed_walk_counts(g, base, 16)
         for k in range(1, 9):
             assert cover_counts[2 * k] <= base_counts[2 * k]  # exact integers
@@ -154,7 +153,8 @@ def test_07_cover_tail_mass_bound(name):
     rho = sigma(measure, 1)
     totals = [0] * 7
     for x in range(n):
-        counts = cover_walk_counts(universal_cover_ball(g, x, 6), 6)
+        ball = universal_cover_ball(g, x, 6)
+        counts = closed_walk_counts(ball.tree, ball.root, 12)
         for k in range(1, 7):
             totals[k] += counts[2 * k]
     moments = [Fraction(totals[k], n) for k in range(1, 7)]

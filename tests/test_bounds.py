@@ -9,7 +9,7 @@ from unispec import (
     GraphInputError,
     adjacency_spectrum,
     alon_boppana_report,
-    cover_walk_counts,
+    closed_walk_counts,
     degree_stats,
     generate,
     hoory_bound,
@@ -148,7 +148,8 @@ def _cover_moments(g, kmax):
     n = g.vertex_count
     totals = [0] * (kmax + 1)
     for x in range(n):
-        counts = cover_walk_counts(universal_cover_ball(g, x, kmax), kmax)
+        ball = universal_cover_ball(g, x, kmax)
+        counts = closed_walk_counts(ball.tree, ball.root, 2 * kmax)
         for k in range(1, kmax + 1):
             totals[k] += counts[2 * k]
     return [totals[k] / n for k in range(1, kmax + 1)]

@@ -13,7 +13,6 @@ from unispec import (
     canonical_rooted_code,
     closed_walk_counts,
     cover_ball_size,
-    cover_walk_counts,
     cover_walk_rows,
     generate,
     regular_tree_walks,
@@ -80,14 +79,14 @@ def test_cover_ball_invariants(name):
 
 def test_cover_walk_counts_cycle():
     cb = universal_cover_ball(generate("cycle", 6), 0, 5)
-    counts = cover_walk_counts(cb, 5)
+    counts = closed_walk_counts(cb.tree, cb.root, 10)
     for k in range(6):
         assert counts[2 * k] == math.comb(2 * k, k)
 
 
 def test_cover_walk_counts_k4_brute_force():
     cb = universal_cover_ball(generate("complete", 4), 0, 2)
-    assert cover_walk_counts(cb, 2)[4] == 15
+    assert closed_walk_counts(cb.tree, cb.root, 4)[4] == 15
     assert len(enumerate_closed_walks(cb.tree, cb.root, 4)) == 15
 
 
@@ -95,13 +94,7 @@ def test_cover_walk_counts_tree_identity():
     rng = np.random.default_rng(7)
     tree = random_tree(9, rng)
     cb = universal_cover_ball(tree, 0, 4)
-    assert cover_walk_counts(cb, 4) == closed_walk_counts(tree, 0, 8)
-
-
-def test_cover_radius_guard():
-    cb = universal_cover_ball(generate("cycle", 4), 0, 2)
-    with pytest.raises(Exception, match="radius"):
-        cover_walk_counts(cb, 3)
+    assert closed_walk_counts(cb.tree, cb.root, 8) == closed_walk_counts(tree, 0, 8)
 
 
 def test_node_budget_errors(monkeypatch):
@@ -170,7 +163,7 @@ def test_cover_walk_rows_match_materialized_cover(name):
         rows = cover_walk_rows(g, k)
         for x in range(g.vertex_count):
             ball = universal_cover_ball(g, x, k)
-            assert rows[x] == cover_walk_counts(ball, k)[::2]
+            assert rows[x] == closed_walk_counts(ball.tree, ball.root, 2 * k)[::2]
             assert cover_ball_size(g, x, k) == ball.tree.vertex_count
 
 
@@ -216,7 +209,7 @@ def test_rho_estimate_k4_approaches_2sqrt2():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cover_of_complete_matches_regular_tree(d):
     cb = universal_cover_ball(generate("complete", d + 1), 0, 5)
-    counts = cover_walk_counts(cb, 5)
+    counts = closed_walk_counts(cb.tree, cb.root, 10)
     expected = regular_tree_walks(d, 5)
     assert tuple(counts[2 * k] for k in range(6)) == expected
 

@@ -131,7 +131,7 @@ def test_walk_moment_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(ensembles, "build_graph", forbidden)
     monkeypatch.setattr(graph, "bfs_distances", forbidden)
-    monkeypatch.setattr(walks, "bfs_distances", forbidden)
+    monkeypatch.setattr(walks, "_bfs", forbidden)
     assert estimate_walk_moment(UNIFORM_23, 4, samples=30, seed=8) == expected
 
 

@@ -359,13 +359,11 @@ def test_public_surface_is_consistent():
 
 
 # every public function that takes a vertex (a root, a base vertex, or one vertex of a
-# selection); path:5 is a tree, so the tree-only walk functions take it too
+# selection)
 ROOTED_CALLS = {
     "bfs_distances": unispec.bfs_distances,
     "closed_walk_counts": lambda g, v: unispec.closed_walk_counts(g, v, 4),
     "srw_return_probs": lambda g, v: unispec.srw_return_probs(g, v, 4),
-    "weighted_closed_walks": lambda g, v: unispec.weighted_closed_walks(g, v, 2),
-    "walk_identity_check": lambda g, v: unispec.walk_identity_check(g, v, 1),
     "canonical_rooted_code": lambda g, v: unispec.canonical_rooted_code(g, v, 2),
     "cover_ball_size": lambda g, v: unispec.cover_ball_size(g, v, 3),
     "universal_cover_ball": lambda g, v: unispec.universal_cover_ball(g, v, 2),

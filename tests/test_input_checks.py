@@ -79,12 +79,23 @@ CASES = [
      "kmax must be nonnegative, got -1"),
     (lambda: walks.srw_return_probs(graph.build_graph([(0, 1)], 3), 0, 2), GraphInputError,
      "srw_return_probs undefined with an isolated vertex"),
-    (lambda: walks.catalan(-1), ValueError, "catalan index must be nonnegative, got -1"),
-    (lambda: walks.enumerate_dyck(-1), ValueError, "k must be nonnegative, got -1"),
-    (lambda: walks.weighted_closed_walks(CYCLE, 0, 2), GraphInputError,
-     "expected a tree (connected, m = n - 1)"),
-    (lambda: walks.weighted_closed_walks(generate("path", 3), 0, -1), GraphInputError,
-     "kmax must be nonnegative, got -1"),
+    # new rows go last, so that the index in each earlier row's id stays put
+    # negative radii
+    (lambda: ensembles.canonical_rooted_code(CYCLE, 0, -1), GraphInputError,
+     "radius must be nonnegative, got -1"),
+    (lambda: graph.bfs_distances(CYCLE, 0, -1), GraphInputError,
+     "radius must be nonnegative, got -1"),
+    # cover rows that are empty, ragged or not one per vertex
+    (lambda: cover.rho_cover_estimate([]), GraphInputError,
+     "cover rows must be nonempty and of one length, got lengths []"),
+    (lambda: cover.rho_cover_estimate([[1, 2], [1]]), GraphInputError,
+     "cover rows must be nonempty and of one length, got lengths [1, 2]"),
+    (lambda: cover.rho_cover_estimate([[]]), GraphInputError,
+     "cover rows must be nonempty and of one length, got lengths [0]"),
+    (lambda: cover.verify_lifting(CYCLE, [], 0), GraphInputError,
+     "cover rows must be nonempty and of one length, got lengths []"),
+    (lambda: cover.verify_lifting(CYCLE, cover.cover_walk_rows(CYCLE, 2)[1:], 0), GraphInputError,
+     "4 cover rows for 5 vertices"),
 ]
 
 

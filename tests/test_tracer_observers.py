@@ -3,6 +3,7 @@
 ``perfbench/tracer.py`` observes a few functions by reading fields of their results.
 Only traced benchmark runs call those observers, so this test feeds each one the
 result of a real call: a changed return type fails here, not only in a traced run.
+The test modules and the benchmark's modules also stay importable in one pytest session.
 """
 
 import importlib.util
@@ -19,7 +20,8 @@ from unispec import (
     universal_cover_ball,
 )
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 CYCLE = generate("cycle", 6)
 LAW = DegreeDistribution.from_string("2:0.5,3:0.5")
@@ -53,3 +55,11 @@ def test_benchmark_observers_accept_the_library_results():
     assert counters.balls_built == 1 and counters.nodes_built == 5  # a path of radius 2
     assert counters.canon_calls == 1 and counters.canon_exact == 1
     assert counters.ugw_nodes >= 1
+
+
+def test_no_test_module_shadows_a_benchmark_module():
+    # pytest puts each test directory on sys.path and imports its modules by stem, so a
+    # tests/oracles.py would stand in for perfbench's ``import oracles`` in one session
+    tests = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    benchmark = {path.stem for path in PERFBENCH.glob("*.py")}
+    assert sorted(tests & benchmark - {"conftest"}) == []
