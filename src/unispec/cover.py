@@ -124,7 +124,7 @@ def cover_ball_size(g: Graph, base: int, radius: int) -> int:
     """Vertex count of the radius-``radius`` cover ball around a lift of ``base``: the branch
     sizes N_j(b) = 1 + sum_{c in succ[b]} N_{j-1}(c), N_0 = 1, at the root branch of ``base``.
     No quotient: this O(radius (2m + n)) pass costs less than refining first (grid:40, radius 10,
-    2-core Intel Xeon: 26 ms for the pass, 89 ms for the refinement alone)."""
+    2-core Intel Xeon: 25 ms for the pass, 51 ms for the refinement alone)."""
     if radius < 0:
         raise GraphInputError(f"radius must be nonnegative, got {radius}")
     succ = _cover_branches(g, radius)

@@ -24,7 +24,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import BudgetError, DegreeDistribution, Graph, GraphInputError, _refine, build_graph
+from .graph import (BudgetError, DegreeDistribution, Graph, GraphInputError, _partition, _refine,
+                    _split_cells, build_graph)
 from .walks import _ball_adjacency, branch_series
 
 __all__ = [
@@ -345,49 +346,67 @@ def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple[tuple,
     return (len(adj), tuple(edges)), order
 
 
-def _search_node(adj: list[list[int]], colors: list[int], budget: list[int]):
-    """Visit a search node: its refined colouring and target cell, None once discrete."""
+def _search_node(adj: list[list[int]], node: tuple, touched, budget: list[int]) -> list | None:
+    """Visit a search node: refine its cells ``node`` (the order, end and cell lists of
+    ``graph._partition``) in place, from the cells ``touched``. Returns the first cell with two
+    or more vertices, in vertex order, or None once the cells are discrete."""
     budget[0] -= 1
     if budget[0] < 0:
         raise _CanonBudget
-    colors = _refine(adj, colors)
-    if len(set(colors)) == len(adj):
-        return colors, None
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    return colors, by_color[min(c for c, vs in by_color.items() if len(vs) > 1)]
+    order, end, cell = node
+    _split_cells(adj, adj, order, end, cell, touched)  # a ball's lists are its in-neighbours
+    if len(end) == len(adj):
+        return None
+    s = min(s for s, e in end.items() if e - s > 1)
+    return sorted(order[s:end[s]])
+
+
+def _child(adj: list[list[int]], node: tuple, v: int) -> tuple[tuple, set[int]]:
+    """A copy of the stable cells ``node`` with v individualized, and the cells its first round
+    re-signs: those of v's neighbours. v leaves its block for a new one past the end of
+    ``order``, the last, as the colour n would sort it; the slot it frees at the end of its old
+    block is in no block."""
+    order, end, cell = node
+    order, end, cell = order + [v], dict(end), cell[:]
+    s, last = cell[v], end[cell[v]] - 1
+    i = order.index(v, s)
+    order[i], order[last] = order[last], v
+    end[s], end[len(order) - 1], cell[v] = last, len(order), len(order) - 1
+    return (order, end, cell), {cell[u] for u in adj[v]}
 
 
 def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: bool) -> tuple:
     # budget counts search nodes, so walls of equal-code branches on highly
     # symmetric balls cannot stall the census; exhaustion degrades to hashing.
-    # A child individualizes v with the fresh color n, larger than any refined id.
+    # A child individualizes v as if with the fresh colour n, larger than any refined id.
     # On a coloured tree the stable cells are automorphism orbits (a tree is its
     # own unfolding), so every branch gives the same code and one is searched;
     # a loop searches it, as a big tree ball needs more levels than Python recurses
     n = len(adj)
+    node = _partition(colors)
+    touched = list(node[1])
     if tree:
         while True:
-            colors, cell = _search_node(adj, colors, budget)
-            if cell is None:
-                return _code_from_discrete(adj, colors)[0]
-            colors = colors[:cell[0]] + [n] + colors[cell[0] + 1:]
+            target = _search_node(adj, node, touched, budget)
+            if target is None:
+                return _code_from_discrete(adj, node[2])[0]
+            node, touched = _child(adj, node, target[0])
     # A cyclic ball is searched with automorphism pruning (McKay & Piperno 2014). Two leaves
     # with one code give an automorphism of the rooted ball (the root is label 0 of every
     # code), and refinement commutes with automorphisms, so one that fixes a node's prefix
     # maps the subtree of one child onto the subtree of another, leaf codes included. The
     # skipped subtrees repeat codes already seen, so the minimum is the full search's.
     leaves: dict[tuple, tuple[list[int], list[int]]] = {}  # code -> (vertex order, prefix)
-    automorphisms: list[list[int]] = []
+    automorphisms: list[tuple[list[int], list[tuple[int, int]]]] = []  # (image, moved pairs)
 
-    def search(colors: list[int], prefix: list[int]) -> int | None:
-        """Search below the node that individualized ``prefix``. A leaf that repeats a code
+    def search(node, touched, prefix: list[int]) -> int | None:
+        """Search below the node that individualized ``prefix``: its cells ``node``, whose
+        first round re-signs the cells ``touched`` (see ``_child``). A leaf that repeats a code
         returns the depth where its prefix leaves the stored one's: the automorphism maps the
         stored leaf's subtree there onto this one, so the search abandons it (jump-back)."""
-        colors, cell = _search_node(adj, colors, budget)
-        if cell is None:
-            code, order = _code_from_discrete(adj, colors)
+        target = _search_node(adj, node, touched, budget)
+        if target is None:
+            code, order = _code_from_discrete(adj, node[2])
             if code not in leaves:
                 leaves[code] = order, prefix
                 return None
@@ -395,7 +414,7 @@ def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: 
             image = [0] * n
             for u, v in zip(stored, order):
                 image[u] = v
-            automorphisms.append(image)
+            automorphisms.append((image, [(u, v) for u, v in enumerate(image) if u != v]))
             return next(i for i, (u, v) in enumerate(zip(prefix, stored_prefix)) if u != v)
         orbit = list(range(n))  # union-find over the automorphisms that fix prefix pointwise
 
@@ -406,21 +425,21 @@ def _min_code(adj: list[list[int]], colors: list[int], budget: list[int], tree: 
             return v
 
         used, explored = 0, []
-        for v in cell:
-            for image in automorphisms[used:]:
+        for v in target:
+            for image, moved in automorphisms[used:]:
                 if all(image[p] == p for p in prefix):
-                    for u, w in enumerate(image):
+                    for u, w in moved:
                         orbit[find(u)] = find(w)
             used = len(automorphisms)
             if find(v) in {find(u) for u in explored}:
                 continue
             explored.append(v)
-            jump = search(colors[:v] + [n] + colors[v + 1:], prefix + [v])
+            jump = search(*_child(adj, node, v), prefix + [v])
             if jump is not None and jump < len(prefix):
                 return jump
         return None
 
-    search(colors, [])
+    search(node, touched, [])
     return min(leaves)
 
 

@@ -143,19 +143,70 @@ def _refine(adj: Sequence[Sequence[int]], colors: list[int], rounds: int | None 
     """The stable refinement of ``colors`` over the out-neighbour lists ``adj``, or its first
     ``rounds`` rounds, with ids in sorted signature order, so refinement is label-invariant.
 
-    A signature starts with the old colour, so each round refines the last one, and a round with
-    as many cells as its input split none. Its ids, sorted by old colour first, are then the dense
-    ranks of the old ids: the ids a further round would return unchanged, so it ends there.
+    A round gives v the dense rank of (its colour, the sorted colours of adj[v]), so it refines
+    the last one, and a round that splits no cell only renumbers the cells, to the ids a further
+    round would keep: refinement ends there. ``_split_cells`` runs the rounds on cells that keep
+    their ids until they split. Their pieces take ids in signature order, so the ids keep the
+    order of their dense ranks, and so do the sorted tuples of ids: after every round, the dense
+    ranks of the ids are the ids of a round that re-signs every vertex. A cell can split only
+    where a member has an out-neighbour that the last round split off, so a round re-signs only
+    the cells of the in-neighbours of those vertices (not the out-neighbours: ``adj`` may be
+    directed). It skips one largest piece of each split cell: a vertex's count there is its old
+    count in the cell less its counts in the other pieces.
     """
-    cells = len(set(colors))
+    if rounds == 0:
+        return colors
+    inn: list[list[int]] = [[] for _ in adj]
+    for v, out in enumerate(adj):
+        for u in out:
+            inn[u].append(v)
+    order, end, cell = _partition(colors)
+    _split_cells(adj, inn, order, end, cell, list(end), rounds)
+    rank = dict(zip(sorted(end), count()))
+    return list(map(rank.__getitem__, cell))
+
+
+def _partition(colors: list[int]) -> tuple[list[int], dict[int, int], list[int]]:
+    """The cells of ``colors`` as ``_split_cells`` keeps them: the blocks order[s:end[s]] in
+    colour order, and cell[v] the start s of the block of v, which is the id of its cell."""
+    n = len(colors)
+    order = sorted(range(n), key=colors.__getitem__)
+    ranked = sorted(colors)
+    first = dict(zip(reversed(ranked), range(n - 1, -1, -1)))
+    starts = sorted(first.values())
+    return order, dict(zip(starts, starts[1:] + [n])), list(map(first.__getitem__, colors))
+
+
+def _split_cells(adj: Sequence[Sequence[int]], inn: Sequence[Sequence[int]], order: list[int],
+                 end: dict[int, int], cell: list[int], touched, rounds: int | None = None) -> None:
+    """The rounds of ``_refine``, in place, on the cells of ``_partition``, until a round splits
+    no cell or for ``rounds`` rounds. The first round re-signs the cells ``touched``, and each
+    later one the cells of ``inn`` (the in-neighbour lists) of the vertices the last one split
+    off. A split cell's pieces take over its block in signature order."""
+    get = cell.__getitem__
     for _ in count() if rounds is None else range(rounds):
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
-        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [lookup[s] for s in sigs]
-        if len(lookup) == cells:
-            break
-        cells = len(lookup)
-    return colors
+        splits = []
+        for s in touched:
+            if end[s] - s > 1:
+                pieces: dict[tuple, list[int]] = {}
+                for v in order[s:end[s]]:
+                    pieces.setdefault(tuple(sorted(map(get, adj[v]))), []).append(v)
+                if len(pieces) > 1:
+                    splits.append((s, [pieces[sig] for sig in sorted(pieces)]))
+        if not splits:
+            return
+        moved = []
+        for s, pieces in splits:  # every signature above was read before any id changes
+            largest = max(pieces, key=len)
+            for piece in pieces:
+                order[s:s + len(piece)] = piece
+                end[s] = s + len(piece)
+                for v in piece:
+                    cell[v] = s
+                if piece is not largest:
+                    moved += piece
+                s += len(piece)
+        touched = {get(u) for v in moved for u in inn[v]}
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]], n: int) -> Graph:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from unispec import ensembles, graph, walks
+from unispec import cover, ensembles, graph, walks
 from unispec import (
     DegreeDistribution,
     GraphInputError,
@@ -556,6 +556,68 @@ def test_refine_ids_match_the_fixed_point():
                         == _refine_to_a_fixed_point(adj, individualized))
             colourings += 1 + n
     assert colourings > 1000
+
+
+def _refinement_rounds(adj, colors, rounds):
+    """``rounds`` rounds that each re-sign every vertex: the oracle for ``ensembles._refine``
+    with a round limit, as ``cover.cover_walk_rows`` calls it."""
+    for _ in range(rounds):
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(len(adj))]
+        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [lookup[s] for s in sigs]
+    return colors
+
+
+def _random_successors(n, rng):
+    """Directed successor lists with repeated entries, self-loops and vertices without any."""
+    return [[int(u) for u in rng.integers(n, size=int(rng.integers(4)))] for _ in range(n)]
+
+
+def test_refine_rounds_match_the_full_rounds_on_directed_successors():
+    # the cover's branch successors are directed: a split re-signs the cells of the split
+    # vertices' in-neighbours. glued_clique_path:8:10 and grid:6 need all kmax rounds
+    rng = np.random.default_rng(29)
+    cases = []
+    for g in (generate("glued_clique_path", 8, 10), generate("grid", 6),
+              generate("random_regular", 30, 3, seed=0)):
+        cases.append((cover._cover_branches(g, 8), [0] * (2 * g.edge_count) + [1] * g.vertex_count))
+    for _ in range(20):
+        succ = _random_successors(30, rng)
+        cases.append((succ, [int(c) for c in rng.integers(3, size=30)]))
+    for succ, start in cases:
+        for rounds in range(1, 9):
+            assert ensembles._refine(succ, start, rounds) == _refinement_rounds(succ, start, rounds)
+        assert ensembles._refine(succ, start) == _refine_to_a_fixed_point(succ, start)
+
+
+def test_search_children_refine_to_the_fixed_point():
+    # a search child individualizes v in its parent's stable cells and first re-signs only the
+    # cells of v's neighbours. At every node, its ids must be those of the full refinement of
+    # the parent's ids with v given the fresh colour n; children of two members of each target
+    # cell are checked, down to the leaves, on cyclic balls
+    def ids(cell):
+        rank = {c: i for i, c in enumerate(sorted(set(cell)))}
+        return [rank[c] for c in cell]
+
+    def check(adj, node, touched, colors):
+        target = ensembles._search_node(adj, node, touched, [10**9])
+        stable = _refine_to_a_fixed_point(adj, colors)
+        assert ids(node[2]) == stable
+        return 1 + sum(check(adj, *ensembles._child(adj, node, v),
+                             stable[:v] + [len(adj)] + stable[v + 1:])
+                       for v in (target or [])[:2])
+
+    nodes = 0
+    for g, radius in [(generate("complete", 7), 1), (generate("glued_clique_path", 6, 4), 3),
+                      (generate("random_regular", 30, 4, seed=2), 2), (_cone((3, 4)), 1),
+                      (generate("cycle", 9), 5), (generate("grid", 5), 2)]:
+        for root in range(g.vertex_count):
+            adj, _, dist = walks._ball_adjacency(g, root, radius)
+            if sum(map(len, adj)) == 2 * (len(adj) - 1):
+                continue
+            node = graph._partition(dist)
+            nodes += check(adj, node, list(node[1]), dist)
+    assert nodes > 800
 
 
 def test_pruned_search_matches_the_full_search():
