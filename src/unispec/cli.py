@@ -152,10 +152,6 @@ class _Inputs:
         return spectra.markov_spectrum(self.g) if self.g.min_degree >= 1 else None
 
     @cached_property
-    def connected(self) -> bool:
-        return self.g.is_connected()
-
-    @cached_property
     def cover_rows(self) -> list[list[int]]:
         return cover_mod.cover_walk_rows(self.g, self.cover_order)
 
@@ -260,7 +256,7 @@ def _unmet(inputs: _Inputs, name: str) -> tuple[str, str, str] | None:
     needs_leafless, needs_connected, _ = _SUITE_TABLE[name]
     if needs_leafless and inputs.g.min_degree < 2:
         return "leaf_present", "a leafless graph (min degree >= 2)", "graph has a leaf"
-    if needs_connected and not inputs.connected:
+    if needs_connected and not inputs.g.is_connected():
         return "disconnected", "a connected graph", "graph is disconnected"
     return None
 
@@ -323,7 +319,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         bound_rows["note"] = "degree-moment bounds undefined: graph has a leaf"
     checks = _run_suites(inputs, "all")
     return _write_report(cfg, {
-        "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": inputs.connected},
+        "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": g.is_connected()},
         "degree_stats": asdict(stats),
         "spectra": {
             "adjacency": _spectrum_summary(adjacency, spectra.sigma(adjacency, 1)),

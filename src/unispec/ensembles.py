@@ -24,9 +24,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import (BudgetError, DegreeDistribution, Graph, GraphInputError, _partition, _refine,
-                    _split_cells, build_graph)
-from .walks import _ball_adjacency, branch_series
+from .graph import (BudgetError, DegreeDistribution, Graph, GraphInputError, _ball, _partition,
+                    _refine, _split_cells, build_graph)
+from .walks import branch_series
 
 __all__ = [
     "Census",
@@ -78,6 +78,8 @@ def _inverse_cdfs(pi: DegreeDistribution) -> tuple[tuple[np.ndarray, np.ndarray]
 
 def _philox_key(master: int) -> np.ndarray:
     """The Philox key of a master seed; every draw of every sample is keyed by it."""
+    if master < 0:
+        raise GraphInputError(f"seed must be nonnegative, got {master}")
     return np.random.SeedSequence(master).generate_state(2, np.uint64)
 
 
@@ -194,6 +196,8 @@ def sample_ugw(pi: DegreeDistribution, depth: int, seed) -> RootedTree:
     seed s means (s, 0).
     """
     master, index = seed if isinstance(seed, tuple) else (seed, 0)
+    if not 0 <= index < 2**64:
+        raise GraphInputError(f"sample index must be in 0..2**64 - 1, got {index}")
     (counts, _), = _generations(pi, depth, master, np.array([index], np.uint64))
     flat = np.concatenate([np.zeros(0, np.int64)] + counts)  # level order: children are consecutive
     parents = np.repeat(np.arange(len(flat)), flat).tolist()
@@ -456,7 +460,7 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     iterative-refinement hash, flagged non-exact, which can in principle collide
     for refinement-equivalent non-isomorphic balls.
     """
-    adj, _, init = _ball_adjacency(g, root, radius)  # colored by distance: the root alone at 0
+    adj, _, init = _ball(g, root, radius)  # colored by distance: the root alone at 0
     tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected
     if tree or len(adj) <= EXACT_CANON_LIMIT:
         try:
@@ -487,7 +491,7 @@ def ball_census(g: Graph, r: int) -> Census:
     all_exact = True
     codes: dict[tuple, tuple[str, bool]] = {}  # labelled ball -> its code and exactness
     for root in range(g.vertex_count):
-        adj = _ball_adjacency(g, root, r)[0]
+        adj = _ball(g, root, r)[0]
         key = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         if key not in codes:
             codes[key] = canonical_rooted_code(g, root, r)

@@ -94,18 +94,17 @@ class Graph:
         return v in self.adjacency[u]
 
     def adjacency_matrix(self) -> np.ndarray:
-        n = self.vertex_count
-        a = np.zeros((n, n))
-        for u in range(n):
-            for v in self.adjacency[u]:
-                a[u, v] = 1
+        a = np.zeros((self.vertex_count, self.vertex_count))
+        for u, v in self.directed_edges():
+            a[u, v] = 1
         return a
 
+    @cached_property
+    def _connected(self) -> bool:
+        return not self.adjacency or all(d >= 0 for d in bfs_distances(self, 0))
+
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 0:
-            return True
-        return sum(1 for d in bfs_distances(self, 0) if d >= 0) == n
+        return self._connected
 
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count == self.vertex_count - 1
@@ -116,27 +115,32 @@ def bfs_distances(g: Graph, source: int, limit: int | None = None) -> list[int]:
 
     ``limit`` stops the search beyond that radius (farther vertices stay -1).
     """
-    return _bfs(g, source, limit)[1]
-
-
-def _bfs(g: Graph, source: int, limit: int | None) -> tuple[list[int], list[int]]:
-    """The vertices within ``limit`` of ``source`` in BFS order, so each distance layer is
-    one contiguous block, and the distances of ``bfs_distances``."""
-    if not 0 <= source < g.vertex_count:
-        raise GraphInputError(f"vertex {source} is not in 0..{g.vertex_count - 1}")
-    if limit is not None and limit < 0:
-        raise GraphInputError(f"radius must be nonnegative, got {limit}")
     dist = [-1] * g.vertex_count
-    dist[source] = 0
-    order = [source]
-    for u in order:  # the list grows behind the cursor: it is the BFS queue
-        if limit is not None and dist[u] >= limit:
-            continue
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-    return order, dist
+    for v, d in zip(*_ball(g, source, limit)[1:]):
+        dist[v] = d
+    return dist
+
+
+def _ball(g: Graph, root: int, radius: int | None) -> tuple[list[list[int]], list[int], list[int]]:
+    """B_radius(root) as local adjacency lists, its vertices in BFS order (the root is local
+    vertex 0 and each distance layer is one contiguous block), and their distances from the
+    root, a nondecreasing list. The list of u is read once the search has found u's layer and
+    the next, so the work and memory are those of the ball, not of ``g``."""
+    if not 0 <= root < g.vertex_count:
+        raise GraphInputError(f"vertex {root} is not in 0..{g.vertex_count - 1}")
+    if radius is not None and radius < 0:
+        raise GraphInputError(f"radius must be nonnegative, got {radius}")
+    local = {root: 0}  # the visited set, and each ball vertex's local label
+    ball, depth, adj = [root], [0], []
+    for u, d in zip(ball, depth):  # the lists grow behind the cursor: they are the BFS queue
+        if radius is None or d < radius:
+            for v in g.adjacency[u]:
+                if v not in local:
+                    local[v] = len(ball)
+                    ball.append(v)
+                    depth.append(d + 1)
+        adj.append([local[w] for w in g.adjacency[u] if w in local])
+    return adj, ball, depth
 
 
 def _refine(adj: Sequence[Sequence[int]], colors: list[int], rounds: int | None = None) -> list:
@@ -244,11 +248,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise GraphInputError("duplicate vertices in induced_subgraph selection")
-    edges = []
-    for v in vertices:
-        for w in g.adjacency[v]:
-            if w in index and v < w:
-                edges.append((index[v], index[w]))
+    edges = [(index[v], index[w]) for v in vertices for w in g.adjacency[v] if w in index and v < w]
     return build_graph(edges, len(vertices))
 
 

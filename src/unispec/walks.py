@@ -12,19 +12,9 @@ from bisect import bisect_right
 from operator import mul
 from typing import Sequence
 
-from .graph import Graph, GraphInputError, _bfs
+from .graph import Graph, GraphInputError, _ball
 
 __all__ = ["branch_series", "closed_walk_counts", "srw_return_probs"]
-
-
-def _ball_adjacency(g: Graph, root: int, radius: int) -> tuple[list[list[int]], list, list]:
-    """B_radius(root) as local adjacency lists, its vertices in BFS order (the root is local
-    vertex 0 and each distance layer is one contiguous block), and their distances from the
-    root, a nondecreasing list."""
-    ball, dist = _bfs(g, root, radius)
-    local = {v: i for i, v in enumerate(ball)}
-    adj = [[local[w] for w in g.adjacency[v] if w in local] for v in ball]
-    return adj, ball, [dist[v] for v in ball]
 
 
 def _ball_walks(g: Graph, root: int, length: int, scale=None) -> list:
@@ -39,7 +29,7 @@ def _ball_walks(g: Graph, root: int, length: int, scale=None) -> list:
     """
     if length < 0:
         raise GraphInputError(f"kmax must be nonnegative, got {length}")
-    adj, ball, depth = _ball_adjacency(g, root, length // 2)
+    adj, ball, depth = _ball(g, root, length // 2)
     factor = None if scale is None else [scale(v) for v in ball]
     vec = [1] + [0] * (len(adj) - 1)
     diagonal = [1]
@@ -68,6 +58,14 @@ def branch_series(succ: Sequence[Sequence[int]], order: Sequence[int],
     c = succ[b][i], or by 1 without ``weight``. Coefficient j is filled in for every branch
     before any j + 1, so ``succ`` may contain cycles; a successor of b needs order >= order[b] - 1.
     """
+    n = len(succ)
+    if len(order) != n:
+        raise GraphInputError(f"order has {len(order)} entries for {n} branches")
+    if weight is not None and list(map(len, weight)) != list(map(len, succ)):
+        raise GraphInputError("weight needs one row per branch and one entry per successor")
+    for b, (children, k) in enumerate(zip(succ, order)):
+        if any(not 0 <= c < n or order[c] < k - 1 for c in children):
+            raise GraphInputError(f"successors of branch {b} must be branches of order >= {k - 1}")
     series = [[1] for _ in succ]
     sums: list[list] = [[] for _ in succ]  # sums[b][i] = sum_{c in succ[b]} w_bc E_c[i]
     for j in range(1, max(order, default=0) + 1):

@@ -131,7 +131,8 @@ def test_walk_moment_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(ensembles, "build_graph", forbidden)
     monkeypatch.setattr(graph, "bfs_distances", forbidden)
-    monkeypatch.setattr(walks, "_bfs", forbidden)
+    for module in (graph, walks, ensembles):  # the ball builder and its imported names
+        monkeypatch.setattr(module, "_ball", forbidden)
     assert estimate_walk_moment(UNIFORM_23, 4, samples=30, seed=8) == expected
 
 
@@ -478,7 +479,7 @@ def test_tree_ball_search_takes_one_branch_per_level(monkeypatch):
     for _ in range(40):
         n = int(rng.integers(2, 24))
         tree = build_graph([(v, int(rng.integers(v))) for v in range(1, n)], n)
-        adj, _, dist = walks._ball_adjacency(tree, int(rng.integers(n)), n)
+        adj, _, dist = graph._ball(tree, int(rng.integers(n)), n)
         assert (ensembles._min_code(adj, dist, [10**9], True)
                 == ensembles._min_code(adj, dist, [10**9], False))
     # roots 7, 11, 12 and 18 have tree balls that exhausted the cap of the full search
@@ -546,7 +547,7 @@ def test_refine_ids_match_the_fixed_point():
     colourings = 0
     for g in (generate("grid", 7), generate("random_regular", 40, 3, seed=5)):
         for root in range(g.vertex_count):
-            adj, _, dist = walks._ball_adjacency(g, root, 3)
+            adj, _, dist = graph._ball(g, root, 3)
             refined = ensembles._refine(adj, dist)
             assert refined == _refine_to_a_fixed_point(adj, dist)
             n = len(adj)
@@ -612,7 +613,7 @@ def test_search_children_refine_to_the_fixed_point():
                       (generate("random_regular", 30, 4, seed=2), 2), (_cone((3, 4)), 1),
                       (generate("cycle", 9), 5), (generate("grid", 5), 2)]:
         for root in range(g.vertex_count):
-            adj, _, dist = walks._ball_adjacency(g, root, radius)
+            adj, _, dist = graph._ball(g, root, radius)
             if sum(map(len, adj)) == 2 * (len(adj) - 1):
                 continue
             node = graph._partition(dist)
@@ -630,7 +631,7 @@ def test_pruned_search_matches_the_full_search():
     cyclic = 0
     for g, roots, radius in cases:
         for root in roots:
-            adj, _, dist = walks._ball_adjacency(g, root, radius)
+            adj, _, dist = graph._ball(g, root, radius)
             if sum(map(len, adj)) == 2 * (len(adj) - 1):
                 continue  # a tree ball takes the one-branch loop
             cyclic += 1

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -378,6 +379,34 @@ def test_root_outside_the_graph_is_refused(name, vertex):
     # a negative root used to index from the end and give wrong counts without an error
     with pytest.raises(GraphInputError, match=rf"^vertex {vertex} is not in 0\.\.4$"):
         ROOTED_CALLS[name](generate("path", 5), vertex)
+
+
+class _LazyCycle:
+    """The adjacency of the n-cycle, each neighbour pair computed when it is read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int) -> tuple[int, int]:
+        return tuple(sorted(((v - 1) % self.n, (v + 1) % self.n)))
+
+
+def test_ball_local_routines_cost_their_ball():
+    # a root's routines read its ball alone: nothing of size n is built for a 10^7-cycle
+    g = unispec.Graph(_LazyCycle(10**7))
+    tracemalloc.start()
+    try:
+        counts = unispec.closed_walk_counts(g, 5, 6)
+        code, exact = unispec.canonical_rooted_code(g, 5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [1, 0, 2, 0, 6, 0, 20]
+    assert exact and code.startswith("g7:")
+    assert peak < 10**6
 
 
 def test_library_reads_no_environment():

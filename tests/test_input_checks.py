@@ -96,6 +96,24 @@ CASES = [
      "cover rows must be nonempty and of one length, got lengths []"),
     (lambda: cover.verify_lifting(CYCLE, cover.cover_walk_rows(CYCLE, 2)[1:], 0), GraphInputError,
      "4 cover rows for 5 vertices"),
+    # branch series inputs of the wrong shape
+    (lambda: walks.branch_series([[1, 1], []], [2, 1], [[1], []]), GraphInputError,
+     "weight needs one row per branch and one entry per successor"),
+    (lambda: walks.branch_series([[1], []], [1, 1], [[1]]), GraphInputError,
+     "weight needs one row per branch and one entry per successor"),
+    (lambda: walks.branch_series([[1], []], [2]), GraphInputError,
+     "order has 1 entries for 2 branches"),
+    (lambda: walks.branch_series([[1], []], [3, 1]), GraphInputError,
+     "successors of branch 0 must be branches of order >= 2"),
+    (lambda: walks.branch_series([[2], []], [1, 1]), GraphInputError,
+     "successors of branch 0 must be branches of order >= 0"),
+    # UGW seeds outside numpy's range
+    (lambda: ensembles.sample_ugw(LAW, 3, (1, -1)), GraphInputError,
+     "sample index must be in 0..2**64 - 1, got -1"),
+    (lambda: ensembles.sample_ugw(LAW, 3, (1, 2**64)), GraphInputError,
+     f"sample index must be in 0..2**64 - 1, got {2**64}"),
+    (lambda: ensembles.sample_ugw(LAW, 3, -1), GraphInputError,
+     "seed must be nonnegative, got -1"),
 ]
 
 

@@ -8,7 +8,7 @@ tests of ``test_walks.py`` read it. The tests pick small trees, so no budget gua
 
 import math
 
-from unispec import bfs_distances, walks
+from unispec import bfs_distances, graph, walks
 
 
 def catalan(k: int) -> int:
@@ -60,7 +60,7 @@ def weighted_closed_walks(tree, root: int, kmax: int, weight=None) -> list:
     """
     assert tree.is_tree(), "steps pair with their reversals on trees only"
     kappa = _kappa(weight)
-    adj, ball, depth = walks._ball_adjacency(tree, root, kmax)
+    adj, ball, depth = graph._ball(tree, root, kmax)
     children = [[c for c in nbrs if depth[c] > depth[b]] for b, nbrs in enumerate(adj)]
     weights = None if weight is None else [[kappa(ball[b], ball[c]) for c in kids]
                                            for b, kids in enumerate(children)]
