@@ -89,6 +89,12 @@ def test_ugw_depth_truncation_and_determinism():
     assert t1.graph.degree(0) in (2, 3)
 
 
+def test_numpy_integer_seeds_are_their_values():
+    assert (sample_ugw(UNIFORM_23, 4, (np.int64(1), np.uint64(2**64 - 1))).graph
+            == sample_ugw(UNIFORM_23, 4, (1, 2**64 - 1)).graph)
+    assert estimate_sphere(UNIFORM_23, 3, 10, np.int32(4)) == estimate_sphere(UNIFORM_23, 3, 10, 4)
+
+
 def test_ugw_second_sphere_mean():
     # E[|S_2|] = E[D] * E[D(D-1)] / E[D] = 4 for pi uniform on {2, 3}
     est, exact = estimate_sphere(UNIFORM_23, 2, samples=4000, seed=123)
@@ -432,14 +438,18 @@ def test_census_hash_degradation_flagged(monkeypatch):
     assert code.startswith("h41:") and not exact
 
 
-def _relabeled_grid(side, seed):
-    """grid:side under a random vertex permutation, edge order and edge orientation."""
+def _relabeled(g, seed):
+    """g under a random vertex permutation, edge order and edge orientation."""
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(side * side)
-    edges = [(int(perm[u]), int(perm[v])) for u, v in generate("grid", side).edges()]
+    perm = rng.permutation(g.vertex_count)
+    edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
     edges = [edges[i][::-1] if rng.random() < 0.5 else edges[i]
              for i in rng.permutation(len(edges))]
-    return build_graph(edges, side * side)
+    return build_graph(edges, g.vertex_count)
+
+
+def _relabeled_grid(side, seed):
+    return _relabeled(generate("grid", side), seed)
 
 
 @pytest.mark.parametrize("g, radius, cap", [
@@ -463,14 +473,36 @@ def test_census_memo_matches_per_root_codes(monkeypatch, g, radius, cap):
     assert (census.counts, census.exact, census.total) == (counts, exact, g.vertex_count)
 
 
+class _Probe(dict):
+    """A class map that records whether a search found a leaf code in it."""
+
+    hit = False
+
+    def __contains__(self, code):
+        found = super().__contains__(code)
+        self.hit |= found
+        return found
+
+
 def test_census_searches_fewer_balls_than_roots(monkeypatch):
-    g = _relabeled_grid(12, 3)
-    calls = []
-    search = ensembles.canonical_rooted_code
-    monkeypatch.setattr(ensembles, "canonical_rooted_code",
-                        lambda *args: calls.append(1) or search(*args))
-    ball_census(g, 2)
-    assert 0 < len(calls) < g.vertex_count
+    # one full search per isomorphism class: a search that no mapped leaf stops, a tree ball's
+    # one branch included. The search of an isomorphic ball stops at its first leaf
+    searches = []
+    search = ensembles._min_code
+
+    def counted(adj, colors, budget, tree, classes):
+        probe = _Probe(classes)
+        code = search(adj, colors, budget, tree, probe)
+        classes.update(probe)
+        searches.append(not probe.hit)
+        return code
+
+    monkeypatch.setattr(ensembles, "_min_code", counted)
+    for g, radius in [(_relabeled_grid(12, 3), 2), (generate("random_regular", 60, 3, seed=0), 3)]:
+        census = ball_census(g, radius)
+        assert census.exact
+        assert sum(searches) == len(census.counts) < len(searches)
+        searches.clear()
 
 
 def test_tree_ball_search_takes_one_branch_per_level(monkeypatch):
@@ -480,8 +512,8 @@ def test_tree_ball_search_takes_one_branch_per_level(monkeypatch):
         n = int(rng.integers(2, 24))
         tree = build_graph([(v, int(rng.integers(v))) for v in range(1, n)], n)
         adj, _, dist = graph._ball(tree, int(rng.integers(n)), n)
-        assert (ensembles._min_code(adj, dist, [10**9], True)
-                == ensembles._min_code(adj, dist, [10**9], False))
+        assert (ensembles._min_code(adj, dist, [10**9], True, {})
+                == ensembles._min_code(adj, dist, [10**9], False, {}))
     # roots 7, 11, 12 and 18 have tree balls that exhausted the cap of the full search
     cubic = generate("random_regular", 150, 3, seed=0xC0FFEE)
     assert all(canonical_rooted_code(cubic, root, 3)[1] for root in range(20))
@@ -635,7 +667,7 @@ def test_pruned_search_matches_the_full_search():
             if sum(map(len, adj)) == 2 * (len(adj) - 1):
                 continue  # a tree ball takes the one-branch loop
             cyclic += 1
-            assert ensembles._min_code(adj, dist, [10**9], False) == _full_search_code(adj, dist)
+            assert ensembles._min_code(adj, dist, [10**9], False, {}) == _full_search_code(adj, dist)
     assert cyclic >= 20
 
 
@@ -660,6 +692,33 @@ def test_pruned_search_is_label_invariant_on_strongly_regular_components():
         assert exact
         codes.add(code)
     assert len(codes) == 1
+
+
+@pytest.mark.parametrize("g, radius", [
+    (generate("glued_clique_path", 5, 6), 3),
+    (generate("grid", 12), 2),
+    (generate("random_regular", 60, 3, seed=0), 3),
+    # three cones whose neighbour cells are not orbits: a search finds two leaf codes
+    (build_graph([(u + 8 * i, v + 8 * i) for i in range(3) for u, v in _cone((3, 4)).edges()],
+                 24), 1),
+], ids=["glued_clique_path5_6_r3", "grid12_r2", "cubic60_r3", "cones_3_4_r1"])
+def test_census_classes_do_not_depend_on_labels(monkeypatch, g, radius):
+    # the class map gives each labelling the per-root codes, with fewer search nodes
+    nodes = []
+    visit = ensembles._search_node
+    monkeypatch.setattr(ensembles, "_search_node", lambda *args: nodes.append(1) or visit(*args))
+    for seed in range(5):
+        relabeled = _relabeled(g, seed)
+        counts, exact = {}, True
+        for root in range(g.vertex_count):
+            code, code_exact = canonical_rooted_code(relabeled, root, radius)
+            counts[code] = counts.get(code, 0) + 1
+            exact &= code_exact
+        per_root = len(nodes)
+        census = ball_census(relabeled, radius)
+        assert (census.counts, census.exact) == (counts, exact)
+        assert len(nodes) - per_root < per_root
+        nodes.clear()
 
 
 def test_canonical_codes_agree_with_vf2():

@@ -114,6 +114,15 @@ CASES = [
      f"sample index must be in 0..2**64 - 1, got {2**64}"),
     (lambda: ensembles.sample_ugw(LAW, 3, -1), GraphInputError,
      "seed must be nonnegative, got -1"),
+    # UGW seeds that are not integers
+    (lambda: ensembles.sample_ugw(LAW, 3, (1, 1.7)), GraphInputError,
+     "sample index must be an integer, got 1.7"),
+    (lambda: ensembles.sample_ugw(LAW, 3, (1.5, 0)), GraphInputError,
+     "seed must be an integer, got 1.5"),
+    (lambda: ensembles.estimate_sphere(LAW, 3, 10, 1.5), GraphInputError,
+     "seed must be an integer, got 1.5"),
+    (lambda: ensembles.estimate_walk_moment(LAW, 2, 10, 1.5), GraphInputError,
+     "seed must be an integer, got 1.5"),
 ]
 
 
