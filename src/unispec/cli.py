@@ -335,8 +335,9 @@ def _cmd_cover(cfg: RunConfig) -> int:
     if cfg.radius is None:
         raise GraphInputError("cover requires --radius")
     kmax = min(cfg.kmax if cfg.kmax is not None else cfg.radius, cfg.radius)
-    ball_size = cover_mod.cover_ball_size(g, 0, cfg.radius)
-    rows = cover_mod.cover_walk_rows(g, kmax)
+    types = cover_mod._cone_types(g, cfg.radius)  # radius >= kmax rounds keep the rows exact
+    ball_size = cover_mod._ball_size(*types, 0, cfg.radius)
+    rows = cover_mod._walk_rows(*types, kmax)
     counts = [0] * (2 * kmax + 1)  # closed walks in a tree have even length
     counts[::2] = rows[0]
     return _write_report(cfg, {

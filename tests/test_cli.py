@@ -422,20 +422,23 @@ def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
 
 
 def test_cover_rows_once_per_command(capsys, monkeypatch):
+    # one cone-type refinement per command, at its largest order: `cover` reads both the ball
+    # size (radius rounds) and the rows (kmax <= radius) off one quotient
     orders = []
-    original = cover.cover_walk_rows
+    original = cover._cone_types
 
-    def counted(g, kmax):
-        orders.append(kmax)
-        return original(g, kmax)
+    def counted(g, rounds):
+        orders.append(rounds)
+        return original(g, rounds)
 
-    monkeypatch.setattr(cover, "cover_walk_rows", counted)
+    monkeypatch.setattr(cover, "_cone_types", counted)
     graph = ["--gen", "random_regular:20:3", "--seed", "2"]
     for argv, expected in ((["analyze"], [4]), (["verify", "--suite", "all"], [4]),
                            (["verify", "--suite", "lifting"], [4]),
                            (["verify", "--suite", "bounds"], [4]),
                            (["verify", "--suite", "nbw"], []),
-                           (["cover", "--radius", "6"], [6]), (["report"], [4]),
+                           (["cover", "--radius", "6"], [6]),
+                           (["cover", "--radius", "6", "--kmax", "2"], [6]), (["report"], [4]),
                            (["report", "--radius", "2", "--kmax", "6"], [4]),
                            (["report", "--radius", "7", "--kmax", "2"], [7])):
         orders.clear()
@@ -615,12 +618,20 @@ def test_census_report_bytes(capsys, argv, digest):
      "8603ad2fa8051f7660cbef7d389eec07f053e2314e243a70a05739d806318ae1"),
     (["--gen", "complete:4", "--radius", "6", "--format", "csv"],
      "3526c46aa18502e9dd19c772476debb72a7929c0bf9d16b0430d6d65aaa6fe4e"),
+    (["--gen", "grid:6", "--radius", "8", "--kmax", "3"],
+     "4f1e1789ebeee1825aa45c3a3cccc429f2b95b6a5da2e850a2f75d24aa507cf4"),
+    (["--gen", "glued_clique_path:8:10", "--radius", "9", "--kmax", "2"],
+     "9a58667631ef1aabf8f94dffe450b772bf42e1317bcfccccb6d61e5c10cc8b9c"),
+    (["--gen", "path:6", "--radius", "8", "--kmax", "2"],  # 2 rounds would count 9 vertices, not 6
+     "90266ef7b6ec54bccaba21439b65b580f730267f5f8a7cda35d1c7f0a6c219a3"),
 ])
 def test_cover_report_bytes(capsys, argv, digest):
     # Whole cover reports, recorded before the walk rows moved to the cone-type quotient:
     # the benchmark's shape (one edge class), a grid and a glued clique path (many classes),
-    # a graph with no edges, and the CSV table. Rows are exact integers and the estimates are
-    # math.exp/math.log of them, so the bytes do not depend on BLAS or the platform.
+    # a graph with no edges, and the CSV table; the last three, recorded before the ball size
+    # moved there too, read rows of order kmax < radius off the radius-round quotient. Rows are
+    # exact integers and the estimates are math.exp/math.log of them, so the bytes do not
+    # depend on BLAS or the platform.
     code, out, err = run_cli(capsys, "cover", *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

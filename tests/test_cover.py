@@ -173,6 +173,15 @@ def _full_series_rows(g, k):
     return branch_series(succ, [k] * len(succ))[2 * g.edge_count:]
 
 
+def _full_ball_sizes(g, radius):
+    """The ball size at every root by the recursion over all 2m + n branches, with no quotient."""
+    succ = cover._cover_branches(g, radius)
+    sizes = [1] * len(succ)
+    for _ in range(radius):
+        sizes = [1 + sum(map(sizes.__getitem__, children)) for children in succ]
+    return sizes[2 * g.edge_count:]
+
+
 QUOTIENT_CASES = {
     **{name: (g, range(9)) for name, g in ROW_GRAPHS.items()},
     # kmax - 1 refinement rounds give wrong rows here at k = 1..5 and at k = 1, 2
@@ -189,6 +198,26 @@ def test_quotient_rows_equal_the_full_series(name):
         rows = cover_walk_rows(g, k)
         assert rows == _full_series_rows(g, k)
         assert len({id(row) for row in rows}) == g.vertex_count  # every root owns its row
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_ball_size_equals_the_full_pass(name):
+    g = QUOTIENT_CASES[name][0]
+    for radius in range(9):
+        assert [cover_ball_size(g, x, radius) for x in range(g.vertex_count)] == \
+            _full_ball_sizes(g, radius)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("glued_clique_path:8:10", [1, 2, 3, 4, 5]), ("grid:6", [1, 2]), ("path:6", [1, 2]),
+    ("glued_clique_path:4:3", [1, 2]), ("random_regular:14:4", []),
+])
+def test_ball_size_needs_radius_rounds(name, wrong):
+    # a rounds mutant: radius - 1 refinement rounds merge branches whose N_radius differ
+    g = QUOTIENT_CASES[name][0]
+    assert [radius for radius in range(1, 9)
+            if [cover._ball_size(*cover._cone_types(g, radius - 1), x, radius)
+                for x in range(g.vertex_count)] != _full_ball_sizes(g, radius)] == wrong
 
 
 def test_cover_walk_rows_budget(monkeypatch):
