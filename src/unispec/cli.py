@@ -14,8 +14,10 @@ import io
 import json
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import Callable
 
 from . import bounds as bounds_mod
 from . import cover as cover_mod
@@ -134,22 +136,89 @@ class _Inputs:
     """What one command reads of graph ``g``, each field computed on first read: a command
     solves each spectrum at most once and makes at most one ``cover_walk_rows`` call, of
     order ``cover_order``. The suites read its first min(kmax, 4) + 1 columns; coefficient j
-    of every branch series depends only on those below j, so slices are exact."""
+    of every branch series depends only on those below j, so slices are exact.
+
+    The dense solves run on one background thread while the job's thread goes on with work
+    that reads no spectrum. Use it as a context manager: leaving it joins that thread."""
 
     def __init__(self, g: Graph, kmax: int, cover_order: int):
         self.g, self.kmax, self.cover_order = g, kmax, cover_order
+        self._started: list[str] = []
+        self._solved: dict[str, tuple] = {}  # kind -> (eigenvalues, residual), from the thread
+        self._spectra: dict[str, spectra.Spectrum] = {}
+        self._failure: BaseException | None = None
+        self._solver: threading.Thread | None = None
+
+    def __enter__(self) -> _Inputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._solver is not None:
+            self._solver.join()
+        if self._failure is not None and exc is not self._failure:
+            raise self._failure  # the failed solve came first when the solves ran in line
+
+    def solve_spectra(self, *kinds: str) -> None:
+        """Check the sizes of the solves of ``kinds`` ("adjacency", "markov") not started yet,
+        then start those solves, one after the other, on one background thread. Call it where
+        the spectra are first needed, so each error surfaces where the solve ran in line.
+
+        The worker calls no public function, since the span tracer of ``perfbench/tracer.py``
+        assumes one thread. The calling thread waits while the worker builds the adjacency
+        matrix, so the worker goes straight into ``eigh``, which runs without the
+        interpreter lock. The worker leaves eigenvalue arrays, which the calling thread turns
+        into ``Spectrum`` tuples."""
+        kinds = [k for k in kinds if k not in self._started
+                 and (k == "adjacency" or self.g.min_degree >= 1)]
+        for kind in kinds:
+            spectra._check_dense(self.g, f"{kind}_spectrum")
+        if kinds:
+            self._wait()
+            self._started += kinds
+            built = threading.Event()
+            solver = threading.Thread(target=self._solve, args=(kinds, built),
+                                      name="unispec-dense-solves")
+            solver.start()
+            self._solver = solver
+            built.wait()
+
+    def _solve(self, kinds: list[str], built: threading.Event) -> None:
+        # the Markov solve scales the adjacency matrix in place, after the adjacency solve
+        try:
+            try:
+                matrix = self.g.adjacency_matrix()
+            finally:
+                built.set()
+            for kind in kinds:
+                solve = spectra._solve if kind == "adjacency" else spectra._markov
+                self._solved[kind] = solve(self.g, matrix)
+        except BaseException as exc:  # noqa: BLE001 - raised again on the job's thread
+            self._failure = exc
+
+    def _wait(self) -> None:
+        if self._solver is not None:
+            self._solver.join()
+        if self._failure is not None:
+            raise self._failure
+
+    def _spectrum(self, kind: str) -> spectra.Spectrum:
+        self.solve_spectra(kind)
+        if kind not in self._spectra:
+            self._wait()
+            self._spectra[kind] = spectra._spectrum(*self._solved.pop(kind))
+        return self._spectra[kind]
 
     @cached_property
     def stats(self) -> DegreeStats:
         return degree_stats(self.g)
 
-    @cached_property
+    @property
     def adjacency(self) -> spectra.Spectrum:
-        return spectra.adjacency_spectrum(self.g)
+        return self._spectrum("adjacency")
 
-    @cached_property
+    @property
     def markov(self) -> spectra.Spectrum | None:
-        return spectra.markov_spectrum(self.g) if self.g.min_degree >= 1 else None
+        return self._spectrum("markov") if self.g.min_degree >= 1 else None
 
     @cached_property
     def cover_rows(self) -> list[list[int]]:
@@ -175,21 +244,28 @@ def _suite_graph(inputs: _Inputs) -> list[dict]:
     return rows
 
 
-def _suite_walks(inputs: _Inputs) -> list[dict]:
+def _suite_walks(inputs: _Inputs) -> Callable[[], list[dict]]:
     # entry k of a walk table does not depend on the length the iteration runs to; Markov
     # moments lie in [-1, 1], so their relative deviation is the absolute one
     g, kmax = inputs.g, min(inputs.kmax, 6)
-    rows = []
-    for name, spectrum, series in (
-            ("adjacency_moment_walk_equivalence", inputs.adjacency, walks.closed_walk_counts),
-            ("markov_moment_return_equivalence", inputs.markov, walks.srw_return_probs)):
-        if spectrum is None:
-            continue
-        worst = 0.0
-        for k, column in enumerate(zip(*(series(g, x, kmax) for x in range(g.vertex_count)))):
-            mom = spectra.moment(spectrum, k)
-            worst = max(worst, abs(mom - sum(column) / g.vertex_count) / max(1.0, abs(mom)))
-        rows.append(_check(name, worst <= 1e-9, worst))
+    inputs.solve_spectra("adjacency", "markov")
+    checks = [("adjacency_moment_walk_equivalence", "adjacency", walks.closed_walk_counts)]
+    if g.min_degree >= 1:
+        checks.append(("markov_moment_return_equivalence", "markov", walks.srw_return_probs))
+    columns = [list(zip(*(series(g, x, kmax) for x in range(g.vertex_count))))
+               for _, _, series in checks]
+
+    def rows() -> list[dict]:
+        out = []
+        for (name, kind, _), table in zip(checks, columns):
+            spectrum = getattr(inputs, kind)
+            worst = 0.0
+            for k, column in enumerate(table):
+                mom = spectra.moment(spectrum, k)
+                worst = max(worst, abs(mom - sum(column) / g.vertex_count) / max(1.0, abs(mom)))
+            out.append(_check(name, worst <= 1e-9, worst))
+        return out
+
     return rows
 
 
@@ -215,12 +291,14 @@ def _suite_nbw(inputs: _Inputs) -> list[dict]:
 
 
 def _suite_bounds(inputs: _Inputs) -> list[dict]:
-    stats, adjacency, cover_rows = inputs.stats, inputs.adjacency, inputs.suite_rows
+    inputs.solve_spectra("adjacency")
+    stats, cover_rows = inputs.stats, inputs.suite_rows
     rows = []
     b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
     rows.append(_check("jensen_tree_radius_b1_ge_b2", b1 >= b2 - 1e-12, max(0.0, b2 - b1)))
     dev = abs(bounds_mod.hoory_bound(stats) - b1)
     rows.append(_check("hoory_equals_entropy_bound", dev <= 1e-12, dev))
+    adjacency = inputs.adjacency
     rho = spectra.sigma(adjacency, 1)
     moments = [sum(column) / inputs.g.vertex_count for column in list(zip(*cover_rows))[1:]]
     rho_est = cover_mod.rho_cover_estimate(cover_rows)[-1]
@@ -239,7 +317,9 @@ def _suite_bounds(inputs: _Inputs) -> list[dict]:
     return rows
 
 
-# name -> (needs a leafless graph, needs a connected graph, suite), in report order
+# name -> (needs a leafless graph, needs a connected graph, suite), in report order; a suite
+# returns its rows, or, if it compares against a spectrum, a callable that returns them once
+# the suites after it have run, so they run while the spectra are solved
 _SUITE_TABLE = {
     "graph": (False, False, _suite_graph),
     "walks": (False, False, _suite_walks),
@@ -268,15 +348,15 @@ def _run_suites(inputs: _Inputs, suite: str) -> list[dict]:
     if unmet:
         raise GraphInputError(f"suite {suite!r} requires {unmet[1]}")
     inputs.stats  # noqa: B018 - the degree stats reject an empty graph before any suite runs
-    rows: list[dict] = []
+    parts: list = []
     for name in _SUITE_TABLE if suite == "all" else (suite,):
         unmet = _unmet(inputs, name)
         if unmet:
-            rows.append(_check(f"{name}_suite_skipped_{unmet[0]}", True, None,
-                               note=f"skipped: {unmet[2]}"))
+            parts.append([_check(f"{name}_suite_skipped_{unmet[0]}", True, None,
+                                 note=f"skipped: {unmet[2]}")])
         else:
-            rows.extend(_SUITE_TABLE[name][2](inputs))
-    return rows
+            parts.append(_SUITE_TABLE[name][2](inputs))
+    return [row for part in parts for row in (part() if callable(part) else part)]
 
 
 # ----------------------------------------------------------------------------
@@ -297,27 +377,29 @@ def _spectrum_summary(spectrum: spectra.Spectrum, top: float) -> dict:
 
 def _cmd_analyze(cfg: RunConfig) -> int:
     kmax = cfg.kmax if cfg.kmax is not None else 4
-    inputs = _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4))
-    g, stats, adjacency, markov = inputs.g, inputs.stats, inputs.adjacency, inputs.markov
-    values = {"alon_boppana_degree_bound": bounds_mod.alon_boppana_degree_bound(stats)}
-    if stats.min_degree >= 2:
-        b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
-        s1, s2 = bounds_mod.tree_srw_radius_bounds(stats)
-        r = cfg.r if cfg.r is not None else 3
-        values.update({
-            "tree_radius_entropy_bound": b1,
-            "tree_radius_mean_degree_bound": b2,
-            "hoory_bound": bounds_mod.hoory_bound(stats),
-            "srw_radius_entropy_bound": s1,
-            "srw_radius_moment_bound": s2,
-            "srw_tail_threshold": s2,
-            f"sphere_growth_bounds_r{r}": list(bounds_mod.sphere_growth_bounds(stats, r)),
-        })
-    bound_rows: dict[str, object] = {
-        name: {"value": value, "provenance": "exact"} for name, value in values.items()}
-    if stats.min_degree < 2:
-        bound_rows["note"] = "degree-moment bounds undefined: graph has a leaf"
-    checks = _run_suites(inputs, "all")
+    with _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)) as inputs:
+        g, stats = inputs.g, inputs.stats
+        inputs.solve_spectra("adjacency", "markov")
+        values = {"alon_boppana_degree_bound": bounds_mod.alon_boppana_degree_bound(stats)}
+        if stats.min_degree >= 2:
+            b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
+            s1, s2 = bounds_mod.tree_srw_radius_bounds(stats)
+            r = cfg.r if cfg.r is not None else 3
+            values.update({
+                "tree_radius_entropy_bound": b1,
+                "tree_radius_mean_degree_bound": b2,
+                "hoory_bound": bounds_mod.hoory_bound(stats),
+                "srw_radius_entropy_bound": s1,
+                "srw_radius_moment_bound": s2,
+                "srw_tail_threshold": s2,
+                f"sphere_growth_bounds_r{r}": list(bounds_mod.sphere_growth_bounds(stats, r)),
+            })
+        bound_rows: dict[str, object] = {
+            name: {"value": value, "provenance": "exact"} for name, value in values.items()}
+        if stats.min_degree < 2:
+            bound_rows["note"] = "degree-moment bounds undefined: graph has a leaf"
+        checks = _run_suites(inputs, "all")
+        adjacency, markov = inputs.adjacency, inputs.markov
     return _write_report(cfg, {
         "graph": {"n": g.vertex_count, "m": g.edge_count, "connected": g.is_connected()},
         "degree_stats": asdict(stats),
@@ -410,7 +492,8 @@ def _cmd_census(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     kmax = cfg.kmax if cfg.kmax is not None else 4
-    rows = _run_suites(_Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)), cfg.suite)
+    with _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)) as inputs:
+        rows = _run_suites(inputs, cfg.suite)
     for row in rows:
         dev = "" if row["deviation"] is None else f" deviation={row['deviation']:.3e}"
         note = f" ({row['note']})" if row["note"] else ""
@@ -423,9 +506,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_report(cfg: RunConfig) -> int:
     radius = cfg.radius if cfg.radius is not None else 4
     kmax = cfg.kmax if cfg.kmax is not None else 4
-    inputs = _Inputs(_resolve_graph(cfg), kmax, max(radius, min(kmax, 4)))
-    estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in inputs.cover_rows])
-    checks = _run_suites(inputs, "all")
+    with _Inputs(_resolve_graph(cfg), kmax, max(radius, min(kmax, 4))) as inputs:
+        estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in inputs.cover_rows])
+        checks = _run_suites(inputs, "all")
     return _write_report(cfg, {
         "graph": {"n": inputs.g.vertex_count, "m": inputs.g.edge_count},
         "degree_stats": asdict(inputs.stats),

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,9 +94,10 @@ class Graph:
         return v in self.adjacency[u]
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.vertex_count, self.vertex_count))
-        for u, v in self.directed_edges():
-            a[u, v] = 1
+        n, offsets = self.vertex_count, self.edge_offsets
+        a = np.zeros((n, n))
+        heads = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp, count=offsets[-1])
+        a[np.repeat(np.arange(n), np.diff(offsets)), heads] = 1
         return a
 
     @cached_property

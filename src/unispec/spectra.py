@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,27 +33,51 @@ class Spectrum(NamedTuple):
     max_residual: float
 
 
-def _solve(g: Graph, caller: str, matrix: Callable[[], np.ndarray]) -> Spectrum:
-    """Eigenvalues of the symmetric n x n ``matrix()``, built only once ``g`` passes the
-    size checks; raises if any eigenpair misses the residual contract."""
+def _check_dense(g: Graph, caller: str) -> None:
+    """The size checks of a dense solve of ``g``, made before any matrix is built."""
     n = g.vertex_count
     if n < 1:
         raise GraphInputError(f"{caller} needs at least one vertex")
     if n > DENSE_LIMIT_DEFAULT:
         raise BudgetError(f"n={n} exceeds dense eigensolver limit {DENSE_LIMIT_DEFAULT}")
-    sym = matrix()
+
+
+def _solve(g: Graph, sym: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues, as an array, of the symmetric n x n matrix ``sym`` of ``g``,
+    which passed ``_check_dense``, and the largest eigenpair residual; raises if that misses
+    the contract. ``sym`` is read, not written. The residual reuses the eigenvector array,
+    so past ``eigh`` the solve holds two n x n arrays of its own, both freed on return.
+    """
     w, v = np.linalg.eigh(sym)
-    resid = sym @ v - v * w
-    max_residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
+    resid = sym @ v
+    v *= w
+    resid -= v
+    del v
+    resid *= resid
+    max_residual = float(np.sqrt(resid.sum(axis=0)).max())
     bound = RESIDUAL_FACTOR * max(1, g.max_degree)
     if max_residual > bound:
         raise ArithmeticError(f"eigensolver residual {max_residual:.3e} exceeds bound {bound:.3e}")
+    return w, max_residual
+
+
+def _markov(g: Graph, adjacency: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_solve`` of D^-1/2 A D^-1/2, eigenvalues clipped to [-1, 1], for ``g`` without
+    isolated vertices; scales its adjacency matrix ``adjacency`` in place into that conjugate."""
+    scale = 1.0 / np.sqrt(np.diff(g.edge_offsets).astype(np.float64))
+    adjacency *= np.outer(scale, scale)
+    w, max_residual = _solve(g, adjacency)
+    return np.clip(w, -1.0, 1.0), max_residual
+
+
+def _spectrum(w: np.ndarray, max_residual: float) -> Spectrum:
     return Spectrum(tuple(w.tolist()), max_residual)
 
 
 def adjacency_spectrum(g: Graph) -> Spectrum:
     """All eigenvalues of the adjacency matrix, with a residual certificate."""
-    return _solve(g, "adjacency_spectrum", g.adjacency_matrix)
+    _check_dense(g, "adjacency_spectrum")
+    return _spectrum(*_solve(g, g.adjacency_matrix()))
 
 
 def markov_spectrum(g: Graph) -> Spectrum:
@@ -64,14 +88,8 @@ def markov_spectrum(g: Graph) -> Spectrum:
     """
     if g.vertex_count > 0 and g.min_degree < 1:
         raise GraphInputError("markov_spectrum undefined with an isolated vertex")
-
-    def conjugate() -> np.ndarray:
-        degrees = np.array([g.degree(v) for v in range(g.vertex_count)], dtype=np.float64)
-        scale = 1.0 / np.sqrt(degrees)
-        return g.adjacency_matrix() * np.outer(scale, scale)
-
-    w, max_residual = _solve(g, "markov_spectrum", conjugate)
-    return Spectrum(tuple(np.clip(w, -1.0, 1.0).tolist()), max_residual)
+    _check_dense(g, "markov_spectrum")
+    return _spectrum(*_markov(g, g.adjacency_matrix()))
 
 
 def sigma(s: Spectrum, j: int) -> float:

@@ -1,6 +1,18 @@
+import threading
+
 import pytest
 
 _config = None
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    # the CLI solves its spectra on a background thread and must join it on every path
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"test left threads running: {left}")
 
 
 def pytest_configure(config):

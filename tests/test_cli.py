@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -7,12 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unispec import bounds, cli, cover, ensembles, graph, nbw, spectra
+from unispec import bounds, cli, cover, ensembles, graph, nbw, spectra, walks
 from unispec.cli import run
 
 
@@ -387,7 +390,9 @@ def test_sample_rejects_flag_of_other_stat(capsys):
 
 
 def _count_solves(monkeypatch):
-    calls = {"adjacency_spectrum": 0, "markov_spectrum": 0}
+    # the commands solve on a background thread through the private solves: every solve
+    # runs `_solve`, a Markov one inside `_markov`
+    calls = {"_solve": 0, "_markov": 0}
     for name in calls:
         original = getattr(spectra, name)
 
@@ -408,17 +413,143 @@ def test_analyze_solves_each_spectrum_once(capsys, monkeypatch):
     calls = _count_solves(monkeypatch)
     code, _, err = run_cli(capsys, "analyze", "--gen", "random_regular:20:3", "--seed", "2")
     assert code == 0, err
-    assert calls == {"adjacency_spectrum": 1, "markov_spectrum": 1}
+    assert calls == {"_solve": 2, "_markov": 1}
 
 
 def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
     calls = _count_solves(monkeypatch)
     code, _, err = run_cli(capsys, "verify", "--suite", "nbw", "--gen", "complete:5")
     assert code == 0, err
-    assert calls == {"adjacency_spectrum": 0, "markov_spectrum": 0}
+    assert calls == {"_solve": 0, "_markov": 0}
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:5")
     assert code == 0, err
-    assert calls == {"adjacency_spectrum": 1, "markov_spectrum": 1}
+    assert calls == {"_solve": 2, "_markov": 1}
+
+
+def test_suite_error_after_the_solves_started_joins_their_thread(capsys, monkeypatch):
+    # the NBW suite raises while the adjacency solve is still under way on its thread; the
+    # command still exits 1 with the suite's error, and only after that thread has ended
+    solving, release, workers = threading.Event(), threading.Event(), []
+    original = spectra._solve
+
+    def held(g, sym):
+        workers.append(threading.current_thread())
+        solving.set()
+        release.wait(10)
+        time.sleep(0.05)  # still solving when the suite's error reaches the command
+        return original(g, sym)
+
+    def broken(g):
+        assert solving.wait(10)
+        release.set()
+        raise RuntimeError("stationarity exploded")
+
+    monkeypatch.setattr(spectra, "_solve", held)
+    monkeypatch.setattr(nbw, "stationarity_check", broken)
+    before = set(threading.enumerate())
+    code, out, err = run_cli(capsys, "analyze", "--gen", "random_regular:20:3", "--seed", "2")
+    assert (code, out, err) == (1, "", "internal error: stationarity exploded\n")
+    assert workers and workers[0] is not threading.main_thread() and not workers[0].is_alive()
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--suite", "all"],
+                                  ["verify", "--suite", "walks"], ["verify", "--suite", "bounds"],
+                                  ["report"]])
+def test_failed_solve_reports_as_when_solved_in_line(capsys, monkeypatch, argv):
+    # with no residual allowed, every command fails as the synchronous adjacency solve did,
+    # also when a suite that runs while it is solved raises as well
+    monkeypatch.setattr(spectra, "RESIDUAL_FACTOR", 0)
+    g = graph.generate("random_regular", 20, 3, seed=2)
+    with pytest.raises(ArithmeticError) as solved_in_line:
+        spectra.adjacency_spectrum(g)
+    expected = (1, "", f"internal error: {solved_in_line.value}\n")
+    argv = [*argv, "--gen", "random_regular:20:3", "--seed", "2"]
+    assert run_cli(capsys, *argv) == expected
+    monkeypatch.setattr(nbw, "stationarity_check", lambda g: 1 / 0)
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_dense_limit_spares_the_suites_that_read_no_spectrum(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", 5)
+    calls = _count_solves(monkeypatch)
+    for suite in ("graph", "nbw"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--gen", "grid:6")
+        assert code == 0 and "FAIL" not in out, (suite, out, err)
+    assert calls == {"_solve": 0, "_markov": 0}
+
+
+def test_dense_limit_fails_walks_before_any_walk_column(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", 5)
+
+    def column(*args):
+        raise AssertionError("walk column computed")
+
+    monkeypatch.setattr(walks, "closed_walk_counts", column)
+    monkeypatch.setattr(walks, "srw_return_probs", column)
+    code, out, err = run_cli(capsys, "verify", "--suite", "walks", "--gen", "grid:6")
+    assert (code, out, err) == (2, "", "error: n=36 exceeds dense eigensolver limit 5\n")
+
+
+def test_public_functions_run_on_the_main_thread(capsys, monkeypatch):
+    # the benchmark's span tracer wraps every name in each module's __all__, and every
+    # module-namespace alias of it, and assumes one thread: only the private solves may
+    # run on the solve thread
+    threads = {}
+
+    def on_thread(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    wrappers = {}
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "unispec" or name.startswith("unispec.")}
+    for mod in modules.values():
+        for attr in getattr(mod, "__all__", ()):
+            fn = getattr(mod, attr)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                wrappers[id(fn)] = on_thread(f"{mod.__name__}.{attr}", fn)
+    wrappers[id(spectra._solve)] = on_thread("unispec.spectra._solve", spectra._solve)
+    for mod in modules.values():
+        for attr, value in list(vars(mod).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(value)])
+    graph_args = ["--gen", "random_regular:20:3", "--seed", "2"]
+    for argv in (["analyze"], ["verify", "--suite", "all"], ["report"]):
+        assert cli.run([*argv, *graph_args]) == 0, (argv, capsys.readouterr().err)
+    assert threads.pop("unispec.spectra._solve") == {False}
+    assert "unispec.walks.closed_walk_counts" in threads and "unispec.cli.run" in threads
+    assert {name for name, on_main in threads.items() if on_main != {True}} == set()
+
+
+def test_concurrent_inputs_under_a_short_switch_interval():
+    # four commands' inputs at once, each on its own graph with its own solve thread, on two
+    # cores and with thread switches forced often: each reads the rows and spectra of a lone run
+    graphs = [graph.generate("random_regular", 30, 3, seed=seed) for seed in range(4)]
+
+    def solved(g):
+        with cli._Inputs(g, 4, 4) as inputs:
+            return cli._run_suites(inputs, "all"), inputs.adjacency, inputs.markov
+
+    expected, results = [solved(g) for g in graphs], [None] * len(graphs)
+
+    def run(i):
+        results[i] = [solved(graphs[i]) for _ in range(10)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(graphs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[rows] * 10 for rows in expected]
 
 
 def test_cover_rows_once_per_command(capsys, monkeypatch):

@@ -58,6 +58,16 @@ def test_handshake(name):
     assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
 
 
+@pytest.mark.parametrize("g", [*FIXTURES.values(), build_graph([(0, 2)], 4), build_graph([], 0)],
+                         ids=[*FIXTURES, "isolated", "empty"])
+def test_adjacency_matrix_matches_the_edge_loop(g):
+    loop = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v in g.directed_edges():
+        loop[u, v] = 1
+    a = g.adjacency_matrix()
+    assert a.dtype == loop.dtype and a.flags.c_contiguous and np.array_equal(a, loop)
+
+
 def test_generate_cycle():
     g = generate("cycle", 4)
     assert [g.degree(v) for v in range(4)] == [2, 2, 2, 2]

@@ -99,6 +99,19 @@ def test_markov_range_and_top(name):
         assert abs(m.eigenvalues[-1] - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_markov_conjugate_is_the_degree_scaled_edge_loop(name):
+    # the eigenvalues of D^-1/2 A D^-1/2 built entry by entry from the degree list, the
+    # construction the solve replaced, match bit for bit
+    g = FIXTURES[name]
+    scale = 1.0 / np.sqrt(np.array([g.degree(v) for v in range(g.vertex_count)], dtype=float))
+    loop = np.zeros((g.vertex_count, g.vertex_count))
+    for u, v in g.directed_edges():
+        loop[u, v] = 1
+    w = np.linalg.eigh(loop * np.outer(scale, scale))[0]
+    assert markov_spectrum(g).eigenvalues == tuple(np.clip(w, -1.0, 1.0).tolist())
+
+
 def test_markov_isolated_vertex_rejected():
     with pytest.raises(GraphInputError, match="isolated"):
         markov_spectrum(build_graph([(0, 1)], 3))
