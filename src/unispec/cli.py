@@ -138,7 +138,7 @@ class _Inputs:
     order ``cover_order``. The suites read its first min(kmax, 4) + 1 columns; coefficient j
     of every branch series depends only on those below j, so slices are exact.
 
-    The dense solves run on one background thread while the job's thread goes on with work
+    The dense solves run on one background thread while the command's thread goes on with work
     that reads no spectrum. Use it as a context manager: leaving it joins that thread."""
 
     def __init__(self, g: Graph, kmax: int, cover_order: int):
@@ -176,13 +176,13 @@ class _Inputs:
             self._wait()
             self._started += kinds
             built = threading.Event()
-            solver = threading.Thread(target=self._solve, args=(kinds, built),
+            solver = threading.Thread(target=self._solve_in_turn, args=(kinds, built),
                                       name="unispec-dense-solves")
             solver.start()
             self._solver = solver
             built.wait()
 
-    def _solve(self, kinds: list[str], built: threading.Event) -> None:
+    def _solve_in_turn(self, kinds: list[str], built: threading.Event) -> None:
         # the Markov solve scales the adjacency matrix in place, after the adjacency solve
         try:
             try:
@@ -192,7 +192,7 @@ class _Inputs:
             for kind in kinds:
                 solve = spectra._solve if kind == "adjacency" else spectra._markov
                 self._solved[kind] = solve(self.g, matrix)
-        except BaseException as exc:  # noqa: BLE001 - raised again on the job's thread
+        except BaseException as exc:  # noqa: BLE001 - raised again on the command's thread
             self._failure = exc
 
     def _wait(self) -> None:
@@ -348,7 +348,7 @@ def _run_suites(inputs: _Inputs, suite: str) -> list[dict]:
     if unmet:
         raise GraphInputError(f"suite {suite!r} requires {unmet[1]}")
     inputs.stats  # noqa: B018 - the degree stats reject an empty graph before any suite runs
-    parts: list = []
+    parts: list[list[dict] | Callable[[], list[dict]]] = []
     for name in _SUITE_TABLE if suite == "all" else (suite,):
         unmet = _unmet(inputs, name)
         if unmet:
