@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
@@ -127,6 +127,10 @@ def _write_report(cfg: RunConfig, body: dict, csv_text: str | None = None) -> in
     return 0
 
 
+def _solved_spectrum(solve: Callable, g: Graph, matrix) -> spectra.Spectrum:
+    return spectra._spectrum(*solve(g, matrix))
+
+
 # ----------------------------------------------------------------------------
 # Check suites (shared by verify, analyze and report)
 # ----------------------------------------------------------------------------
@@ -138,75 +142,48 @@ class _Inputs:
     order ``cover_order``. The suites read its first min(kmax, 4) + 1 columns; coefficient j
     of every branch series depends only on those below j, so slices are exact.
 
-    The dense solves run on one background thread while the command's thread goes on with work
-    that reads no spectrum. Use it as a context manager: leaving it joins that thread."""
+    The dense solves run on a one-worker executor while the command's thread goes on with
+    work that reads no spectrum; the future of each kind, kept in start order, holds its
+    ``Spectrum`` or its failure. Use it as a context manager: leaving it shuts the executor
+    down and waits for its worker."""
 
     def __init__(self, g: Graph, kmax: int, cover_order: int):
         self.g, self.kmax, self.cover_order = g, kmax, cover_order
-        self._started: list[str] = []
-        self._solved: dict[str, tuple] = {}  # kind -> (eigenvalues, residual), from the thread
-        self._spectra: dict[str, spectra.Spectrum] = {}
-        self._failure: BaseException | None = None
-        self._solver: threading.Thread | None = None
+        self._solver = ThreadPoolExecutor(max_workers=1, thread_name_prefix="unispec-dense-solves")
+        self._solves: dict[str, Future] = {}  # kind -> future of its Spectrum, in start order
 
     def __enter__(self) -> _Inputs:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._solver is not None:
-            self._solver.join()
-        if self._failure is not None and exc is not self._failure:
-            raise self._failure  # the failed solve came first when the solves ran in line
+        self._solver.shutdown(wait=True)
+        failed = [f.exception() for f in self._solves.values() if f.exception() is not None]
+        if failed and failed[0] is not exc:
+            raise failed[0]  # the first failed solve came first when the solves ran in line
 
     def solve_spectra(self, *kinds: str) -> None:
         """Check the sizes of the solves of ``kinds`` ("adjacency", "markov") not started yet,
-        then start those solves, one after the other, on one background thread. Call it where
-        the spectra are first needed, so each error surfaces where the solve ran in line.
+        then submit those solves to the executor. Call it where the spectra are first needed,
+        so each error surfaces where the solve ran in line.
 
         The worker calls no public function, since the span tracer of ``perfbench/tracer.py``
-        assumes one thread. The calling thread waits while the worker builds the adjacency
-        matrix, so the worker goes straight into ``eigh``, which runs without the
-        interpreter lock. The worker leaves eigenvalue arrays, which the calling thread turns
-        into ``Spectrum`` tuples."""
-        kinds = [k for k in kinds if k not in self._started
+        assumes one thread. The adjacency matrix is built here, on the calling thread, so the
+        worker goes straight into ``eigh``, which runs without the interpreter lock. The one
+        worker runs the solves in submission order, so the Markov solve scales the shared
+        matrix in place only after the adjacency solve has read it."""
+        kinds = [k for k in kinds if k not in self._solves
                  and (k == "adjacency" or self.g.min_degree >= 1)]
         for kind in kinds:
             spectra._check_dense(self.g, f"{kind}_spectrum")
         if kinds:
-            self._wait()
-            self._started += kinds
-            built = threading.Event()
-            solver = threading.Thread(target=self._solve_in_turn, args=(kinds, built),
-                                      name="unispec-dense-solves")
-            solver.start()
-            self._solver = solver
-            built.wait()
-
-    def _solve_in_turn(self, kinds: list[str], built: threading.Event) -> None:
-        # the Markov solve scales the adjacency matrix in place, after the adjacency solve
-        try:
-            try:
-                matrix = self.g.adjacency_matrix()
-            finally:
-                built.set()
+            matrix = self.g.adjacency_matrix()
             for kind in kinds:
                 solve = spectra._solve if kind == "adjacency" else spectra._markov
-                self._solved[kind] = solve(self.g, matrix)
-        except BaseException as exc:  # noqa: BLE001 - raised again on the command's thread
-            self._failure = exc
-
-    def _wait(self) -> None:
-        if self._solver is not None:
-            self._solver.join()
-        if self._failure is not None:
-            raise self._failure
+                self._solves[kind] = self._solver.submit(_solved_spectrum, solve, self.g, matrix)
 
     def _spectrum(self, kind: str) -> spectra.Spectrum:
         self.solve_spectra(kind)
-        if kind not in self._spectra:
-            self._wait()
-            self._spectra[kind] = spectra._spectrum(*self._solved.pop(kind))
-        return self._spectra[kind]
+        return self._solves[kind].result()
 
     @cached_property
     def stats(self) -> DegreeStats:

@@ -7,7 +7,8 @@ _config = None
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    # the CLI solves its spectra on a background thread and must join it on every path
+    # the CLI solves its spectra on an executor's worker thread and must shut the executor
+    # down, waiting for that thread, on every path
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

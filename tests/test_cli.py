@@ -417,13 +417,22 @@ def test_analyze_solves_each_spectrum_once(capsys, monkeypatch):
 
 
 def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
-    calls = _count_solves(monkeypatch)
-    code, _, err = run_cli(capsys, "verify", "--suite", "nbw", "--gen", "complete:5")
-    assert code == 0, err
-    assert calls == {"_solve": 0, "_markov": 0}
+    # the suites that read no spectrum start no solve and no thread; `all` starts one thread
+    calls, started = _count_solves(monkeypatch), []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for suite in ("graph", "nbw", "lifting"):
+        code, _, err = run_cli(capsys, "verify", "--suite", suite, "--gen", "complete:5")
+        assert code == 0, (suite, err)
+    assert calls == {"_solve": 0, "_markov": 0} and started == []
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:5")
     assert code == 0, err
-    assert calls == {"_solve": 2, "_markov": 1}
+    assert calls == {"_solve": 2, "_markov": 1} and len(started) == 1
 
 
 def test_suite_error_after_the_solves_started_joins_their_thread(capsys, monkeypatch):
@@ -457,14 +466,30 @@ def test_suite_error_after_the_solves_started_joins_their_thread(capsys, monkeyp
                                   ["verify", "--suite", "walks"], ["verify", "--suite", "bounds"],
                                   ["report"]])
 def test_failed_solve_reports_as_when_solved_in_line(capsys, monkeypatch, argv):
-    # with no residual allowed, every command fails as the synchronous adjacency solve did,
-    # also when a suite that runs while it is solved raises as well
-    monkeypatch.setattr(spectra, "RESIDUAL_FACTOR", 0)
+    # with no residual allowed, every command fails as the synchronous adjacency solve did;
+    # with only the Markov solve failing, every command that starts that solve fails with
+    # its error and `verify --suite bounds` passes. Both hold also when a suite that runs
+    # while the spectra are solved raises as well
     g = graph.generate("random_regular", 20, 3, seed=2)
-    with pytest.raises(ArithmeticError) as solved_in_line:
-        spectra.adjacency_spectrum(g)
-    expected = (1, "", f"internal error: {solved_in_line.value}\n")
     argv = [*argv, "--gen", "random_regular:20:3", "--seed", "2"]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "RESIDUAL_FACTOR", 0)
+        with pytest.raises(ArithmeticError) as solved_in_line:
+            spectra.adjacency_spectrum(g)
+        expected = (1, "", f"internal error: {solved_in_line.value}\n")
+        assert run_cli(capsys, *argv) == expected
+        patch.setattr(nbw, "stationarity_check", lambda g: 1 / 0)
+        assert run_cli(capsys, *argv) == expected
+
+    def failed_markov(g, adjacency):
+        raise ArithmeticError("Markov solve failed")
+
+    monkeypatch.setattr(spectra, "_markov", failed_markov)
+    if argv[:3] == ["verify", "--suite", "bounds"]:  # it starts no Markov solve
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and "FAIL" not in out, out
+        return
+    expected = (1, "", "internal error: Markov solve failed\n")
     assert run_cli(capsys, *argv) == expected
     monkeypatch.setattr(nbw, "stationarity_check", lambda g: 1 / 0)
     assert run_cli(capsys, *argv) == expected
