@@ -16,7 +16,7 @@ import math
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from . import bounds as bounds_mod
@@ -127,28 +127,31 @@ def _write_report(cfg: RunConfig, body: dict, csv_text: str | None = None) -> in
     return 0
 
 
-def _solved_spectrum(solve: Callable, g: Graph, matrix) -> spectra.Spectrum:
-    return spectra._spectrum(*solve(g, matrix))
-
-
 # ----------------------------------------------------------------------------
 # Check suites (shared by verify, analyze and report)
 # ----------------------------------------------------------------------------
 
 
 class _Inputs:
-    """What one command reads of graph ``g``, each field computed on first read: a command
-    solves each spectrum at most once and makes at most one ``cover_walk_rows`` call, of
-    order ``cover_order``. The suites read its first min(kmax, 4) + 1 columns; coefficient j
-    of every branch series depends only on those below j, so slices are exact.
+    """What one command reads of graph ``g``, each field computed on first read, and the rules
+    that every command shares. ``kmax`` defaults to 4. The suites read walk lengths up to
+    ``order`` = min(kmax, 4), and a command whose own table runs to ``radius`` needs its rows
+    too, so the one ``cover_walk_rows`` call has order max(radius, order); coefficient j of
+    every branch series depends only on those below j, so the suites' slices are exact.
+    ``kinds`` names the spectra the command solves, each at most once: P = D^-1 A is undefined
+    at an isolated vertex, so such a graph has no "markov".
 
     The dense solves run on a one-worker executor while the command's thread goes on with
     work that reads no spectrum; the future of each kind, kept in start order, holds its
     ``Spectrum`` or its failure. Use it as a context manager: leaving it shuts the executor
     down and waits for its worker."""
 
-    def __init__(self, g: Graph, kmax: int, cover_order: int):
-        self.g, self.kmax, self.cover_order = g, kmax, cover_order
+    def __init__(self, g: Graph, kmax: int | None, radius: int = 0):
+        self.g = g
+        self.kmax = 4 if kmax is None else kmax
+        self.order = min(self.kmax, 4)
+        self.cover_order = max(radius, self.order)
+        self.kinds = ("adjacency", "markov") if g.min_degree >= 1 else ("adjacency",)
         self._solver = ThreadPoolExecutor(max_workers=1, thread_name_prefix="unispec-dense-solves")
         self._solves: dict[str, Future] = {}  # kind -> future of its Spectrum, in start order
 
@@ -162,24 +165,23 @@ class _Inputs:
             raise failed[0]  # the first failed solve came first when the solves ran in line
 
     def solve_spectra(self, *kinds: str) -> None:
-        """Check the sizes of the solves of ``kinds`` ("adjacency", "markov") not started yet,
-        then submit those solves to the executor. Call it where the spectra are first needed,
-        so each error surfaces where the solve ran in line.
+        """Check the sizes of the solves of ``kinds``, a subset of ``self.kinds``, not started
+        yet, then submit them to the executor. Call it where the spectra are first needed, so
+        each error surfaces where the solve would run in line.
 
         The worker calls no public function, since the span tracer of ``perfbench/tracer.py``
         assumes one thread. The adjacency matrix is built here, on the calling thread, so the
         worker goes straight into ``eigh``, which runs without the interpreter lock. The one
         worker runs the solves in submission order, so the Markov solve scales the shared
         matrix in place only after the adjacency solve has read it."""
-        kinds = [k for k in kinds if k not in self._solves
-                 and (k == "adjacency" or self.g.min_degree >= 1)]
+        kinds = [k for k in kinds if k not in self._solves]
         for kind in kinds:
             spectra._check_dense(self.g, f"{kind}_spectrum")
         if kinds:
             matrix = self.g.adjacency_matrix()
             for kind in kinds:
                 solve = spectra._solve if kind == "adjacency" else spectra._markov
-                self._solves[kind] = self._solver.submit(_solved_spectrum, solve, self.g, matrix)
+                self._solves[kind] = self._solver.submit(solve, self.g, matrix)
 
     def _spectrum(self, kind: str) -> spectra.Spectrum:
         self.solve_spectra(kind)
@@ -195,7 +197,7 @@ class _Inputs:
 
     @property
     def markov(self) -> spectra.Spectrum | None:
-        return self._spectrum("markov") if self.g.min_degree >= 1 else None
+        return self._spectrum("markov") if "markov" in self.kinds else None
 
     @cached_property
     def cover_rows(self) -> list[list[int]]:
@@ -203,7 +205,7 @@ class _Inputs:
 
     @cached_property
     def suite_rows(self) -> list[list[int]]:
-        return [row[:min(self.kmax, 4) + 1] for row in self.cover_rows]
+        return [row[:self.order + 1] for row in self.cover_rows]
 
 
 def _check(name: str, ok: bool, deviation: float | None = None, note: str = "") -> dict:
@@ -225,22 +227,21 @@ def _suite_walks(inputs: _Inputs) -> Callable[[], list[dict]]:
     # entry k of a walk table does not depend on the length the iteration runs to; Markov
     # moments lie in [-1, 1], so their relative deviation is the absolute one
     g, kmax = inputs.g, min(inputs.kmax, 6)
-    inputs.solve_spectra("adjacency", "markov")
-    checks = [("adjacency_moment_walk_equivalence", "adjacency", walks.closed_walk_counts)]
-    if g.min_degree >= 1:
-        checks.append(("markov_moment_return_equivalence", "markov", walks.srw_return_probs))
-    columns = [list(zip(*(series(g, x, kmax) for x in range(g.vertex_count))))
-               for _, _, series in checks]
+    inputs.solve_spectra(*inputs.kinds)
+    checks = {"adjacency": ("adjacency_moment_walk_equivalence", walks.closed_walk_counts),
+              "markov": ("markov_moment_return_equivalence", walks.srw_return_probs)}
+    columns = [list(zip(*(checks[kind][1](g, x, kmax) for x in range(g.vertex_count))))
+               for kind in inputs.kinds]
 
     def rows() -> list[dict]:
         out = []
-        for (name, kind, _), table in zip(checks, columns):
+        for kind, table in zip(inputs.kinds, columns):
             spectrum = getattr(inputs, kind)
             worst = 0.0
             for k, column in enumerate(table):
                 mom = spectra.moment(spectrum, k)
                 worst = max(worst, abs(mom - sum(column) / g.vertex_count) / max(1.0, abs(mom)))
-            out.append(_check(name, worst <= 1e-9, worst))
+            out.append(_check(checks[kind][0], worst <= 1e-9, worst))
         return out
 
     return rows
@@ -353,10 +354,9 @@ def _spectrum_summary(spectrum: spectra.Spectrum, top: float) -> dict:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    kmax = cfg.kmax if cfg.kmax is not None else 4
-    with _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)) as inputs:
+    with _Inputs(_resolve_graph(cfg), cfg.kmax) as inputs:
         g, stats = inputs.g, inputs.stats
-        inputs.solve_spectra("adjacency", "markov")
+        inputs.solve_spectra(*inputs.kinds)
         values = {"alon_boppana_degree_bound": bounds_mod.alon_boppana_degree_bound(stats)}
         if stats.min_degree >= 2:
             b1, b2 = bounds_mod.tree_spectral_radius_bounds(stats)
@@ -468,8 +468,7 @@ def _cmd_census(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    kmax = cfg.kmax if cfg.kmax is not None else 4
-    with _Inputs(_resolve_graph(cfg), kmax, min(kmax, 4)) as inputs:
+    with _Inputs(_resolve_graph(cfg), cfg.kmax) as inputs:
         rows = _run_suites(inputs, cfg.suite)
     for row in rows:
         dev = "" if row["deviation"] is None else f" deviation={row['deviation']:.3e}"
@@ -482,8 +481,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_report(cfg: RunConfig) -> int:
     radius = cfg.radius if cfg.radius is not None else 4
-    kmax = cfg.kmax if cfg.kmax is not None else 4
-    with _Inputs(_resolve_graph(cfg), kmax, max(radius, min(kmax, 4))) as inputs:
+    with _Inputs(_resolve_graph(cfg), cfg.kmax, radius) as inputs:
         estimate = cover_mod.rho_cover_estimate([row[:radius + 1] for row in inputs.cover_rows])
         checks = _run_suites(inputs, "all")
     return _write_report(cfg, {
@@ -540,6 +538,7 @@ _SUBCOMMANDS = {
 }
 
 
+@cache  # parsing leaves the parser as it was, so one serves every call of ``run``
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unispec",

@@ -476,19 +476,20 @@ def canonical_rooted_code(g: Graph, root: int, radius: int) -> tuple[str, bool]:
     (``ball_census`` searches once per isomorphism class).
     """
     adj, _, dist = _ball(g, root, radius)  # colored by distance: the root alone at 0
-    return _ball_code(adj, dist, {})
+    code = _ball_code(adj, dist, {})
+    return code, code.startswith("g")
 
 
-def _ball_code(adj: list[list[int]], dist: list[int], classes: dict) -> tuple[str, bool]:
+def _ball_code(adj: list[list[int]], dist: list[int], classes: dict) -> str:
     """The code of the ball ``adj`` with root 0 and depths ``dist``, as ``canonical_rooted_code``
-    gives it. ``classes`` maps the leaf codes of completed cyclic searches to their minima (see
-    ``_min_code``); a cyclic search that reaches one of them stops there."""
+    gives it: an exact code starts with ``g``, the refinement hash with ``h``, so the code
+    carries its exactness. ``classes`` maps the leaf codes of completed cyclic searches to their
+    minima (see ``_min_code``); a cyclic search that reaches one of them stops there."""
     tree = sum(map(len, adj)) == 2 * (len(adj) - 1)  # the ball is connected
     if tree or len(adj) <= EXACT_CANON_LIMIT:
         try:
             n, edges = _min_code(adj, dist, [CANON_SEARCH_CAP], tree, classes)
-            body = ",".join(f"{u}-{v}" for u, v in edges)
-            return f"g{n}:{body}", True
+            return f"g{n}:" + ",".join(f"{u}-{v}" for u, v in edges)
         except _CanonBudget:
             pass
     colors = _refine(adj, dist)
@@ -496,7 +497,7 @@ def _ball_code(adj: list[list[int]], dist: list[int], classes: dict) -> tuple[st
                     sorted((colors[v], tuple(sorted(colors[u] for u in adj[v])))
                            for v in range(len(adj)))))
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return f"h{len(adj)}:{digest}", False
+    return f"h{len(adj)}:{digest}"
 
 
 def ball_census(g: Graph, r: int) -> Census:
@@ -507,23 +508,22 @@ def ball_census(g: Graph, r: int) -> Census:
     leaf codes of each completed search to its code, and an isomorphic ball's search stops at
     its first leaf (292 full searches fall to 54 in a benchmark census batch). A ball whose own
     search would exhaust ``CANON_SEARCH_CAP`` but reaches a mapped leaf first gets its class's
-    exact ``g`` code, not the ``h`` hash of ``canonical_rooted_code``.
+    exact ``g`` code, not the ``h`` hash of ``canonical_rooted_code``. The census is exact when
+    every code is a ``g`` code.
     """
     if r < 0:
         raise GraphInputError(f"radius must be nonnegative, got {r}")
     counts: dict[str, int] = {}
-    all_exact = True
-    codes: dict[tuple, tuple[str, bool]] = {}  # labelled ball -> its code and exactness
+    codes: dict[tuple, str] = {}  # labelled ball -> its code
     classes: dict[tuple, tuple] = {}  # leaf code -> its class's minimum code
     for root in range(g.vertex_count):
         adj, _, dist = _ball(g, root, r)
         key = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         if key not in codes:
             codes[key] = _ball_code(adj, dist, classes)
-        code, exact = codes[key]
-        all_exact &= exact
-        counts[code] = counts.get(code, 0) + 1
-    return Census(radius=r, counts=counts, total=g.vertex_count, exact=all_exact)
+        counts[codes[key]] = counts.get(codes[key], 0) + 1
+    return Census(radius=r, counts=counts, total=g.vertex_count,
+                  exact=all(code.startswith("g") for code in counts))
 
 
 def tv_distance(a: Census, b: Census) -> float:

@@ -42,11 +42,11 @@ def _check_dense(g: Graph, caller: str) -> None:
         raise BudgetError(f"n={n} exceeds dense eigensolver limit {DENSE_LIMIT_DEFAULT}")
 
 
-def _solve(g: Graph, sym: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues, as an array, of the symmetric n x n matrix ``sym`` of ``g``,
-    which passed ``_check_dense``, and the largest eigenpair residual; raises if that misses
-    the contract. ``sym`` is read, not written. The residual reuses the eigenvector array,
-    so past ``eigh`` the solve holds two n x n arrays of its own, both freed on return.
+def _solve(g: Graph, sym: np.ndarray) -> Spectrum:
+    """The spectrum of the symmetric n x n matrix ``sym`` of ``g``, which passed
+    ``_check_dense``; raises if its largest eigenpair residual misses the contract. ``sym`` is
+    read, not written. The residual reuses the eigenvector array, so past ``eigh`` the solve
+    holds two n x n arrays of its own, both freed on return.
     """
     w, v = np.linalg.eigh(sym)
     resid = sym @ v
@@ -58,26 +58,22 @@ def _solve(g: Graph, sym: np.ndarray) -> tuple[np.ndarray, float]:
     bound = RESIDUAL_FACTOR * max(1, g.max_degree)
     if max_residual > bound:
         raise ArithmeticError(f"eigensolver residual {max_residual:.3e} exceeds bound {bound:.3e}")
-    return w, max_residual
+    return Spectrum(tuple(w.tolist()), max_residual)
 
 
-def _markov(g: Graph, adjacency: np.ndarray) -> tuple[np.ndarray, float]:
+def _markov(g: Graph, adjacency: np.ndarray) -> Spectrum:
     """``_solve`` of D^-1/2 A D^-1/2, eigenvalues clipped to [-1, 1], for ``g`` without
     isolated vertices; scales its adjacency matrix ``adjacency`` in place into that conjugate."""
     scale = 1.0 / np.sqrt(np.diff(g.edge_offsets).astype(np.float64))
     adjacency *= np.outer(scale, scale)
-    w, max_residual = _solve(g, adjacency)
-    return np.clip(w, -1.0, 1.0), max_residual
-
-
-def _spectrum(w: np.ndarray, max_residual: float) -> Spectrum:
-    return Spectrum(tuple(w.tolist()), max_residual)
+    solved = _solve(g, adjacency)
+    return solved._replace(eigenvalues=tuple(min(1.0, max(-1.0, x)) for x in solved.eigenvalues))
 
 
 def adjacency_spectrum(g: Graph) -> Spectrum:
     """All eigenvalues of the adjacency matrix, with a residual certificate."""
     _check_dense(g, "adjacency_spectrum")
-    return _spectrum(*_solve(g, g.adjacency_matrix()))
+    return _solve(g, g.adjacency_matrix())
 
 
 def markov_spectrum(g: Graph) -> Spectrum:
@@ -89,7 +85,7 @@ def markov_spectrum(g: Graph) -> Spectrum:
     if g.vertex_count > 0 and g.min_degree < 1:
         raise GraphInputError("markov_spectrum undefined with an isolated vertex")
     _check_dense(g, "markov_spectrum")
-    return _spectrum(*_markov(g, g.adjacency_matrix()))
+    return _markov(g, g.adjacency_matrix())
 
 
 def sigma(s: Spectrum, j: int) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import inspect
@@ -380,6 +381,29 @@ def test_unknown_flags_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith(f"error: cannot write {out}: "), err
 
 
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    # the parser is built once per process; a parse error leaves it fit for the next argv
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        if parser.prog == "unispec":
+            built.append(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    code, out, err = run_cli(capsys, "cover", "--gen", "cycle:8", "--radius", "2")
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "cover", "--gen", "cycle:8", "--r", "2")
+    assert code == 2 and "unrecognized arguments: --r 2" in err
+    code, out, err = run_cli(capsys, "census", "--gen", "cycle:6", "--radius", "3")
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert (config["subcommand"], config["gen"], config["radius"]) == ("census", "cycle:6", 3)
+    assert len(built) == 1
+
+
 def test_sample_rejects_flag_of_other_stat(capsys):
     base = ["sample", "ugw", "--pi", "3:1", "--samples", "2"]
     code, _, err = run_cli(capsys, *base, "--stat", "walks", "--k", "1", "--r", "9")
@@ -433,6 +457,25 @@ def test_verify_solves_only_needed_spectra(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--gen", "complete:5")
     assert code == 0, err
     assert calls == {"_solve": 2, "_markov": 1} and len(started) == 1
+
+
+def test_isolated_vertex_starts_no_markov_solve(capsys, monkeypatch, tmp_path):
+    # P = D^-1 A is undefined at an isolated vertex: no command solves or reports it
+    path = tmp_path / "isolated.edges"
+    path.write_text("n 4\n0 1\n1 2\n2 0\n")
+    calls = _count_solves(monkeypatch)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+    assert code == 0, err
+    assert json.loads(out)["spectra"]["markov"] is None
+    assert calls == {"_solve": 1, "_markov": 0}
+    calls.update(_solve=0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--input", str(path))
+    assert code == 0, err
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+        "core_peel_idempotent", "adjacency_moment_walk_equivalence",
+        "lifting_suite_skipped_disconnected", "nbw_suite_skipped_leaf_present",
+        "bounds_suite_skipped_leaf_present"]
+    assert calls == {"_solve": 1, "_markov": 0}
 
 
 def test_suite_error_after_the_solves_started_joins_their_thread(capsys, monkeypatch):

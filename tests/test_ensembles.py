@@ -438,6 +438,18 @@ def test_census_hash_degradation_flagged(monkeypatch):
     assert code.startswith("h41:") and not exact
 
 
+@pytest.mark.parametrize("gen, root, radius, cap, prefix", [
+    (("grid", 9), 40, 2, None, "g"),  # a cyclic ball within the search limits
+    (("grid", 12), 78, 4, None, "h"),  # 41 vertices, above EXACT_CANON_LIMIT
+    (("complete", 9), 0, 1, 10, "h"),  # the search runs out of nodes
+], ids=["exact", "grid12_r4_hashed", "search_cap"])
+def test_canonical_code_flag_matches_its_prefix(monkeypatch, gen, root, radius, cap, prefix):
+    if cap is not None:
+        monkeypatch.setattr(ensembles, "CANON_SEARCH_CAP", cap)
+    code, exact = canonical_rooted_code(generate(*gen), root, radius)
+    assert code[0] == prefix and exact == (prefix == "g")
+
+
 def _relabeled(g, seed):
     """g under a random vertex permutation, edge order and edge orientation."""
     rng = np.random.default_rng(seed)
